@@ -33,7 +33,8 @@
 //!                   anticorrelated dataset, sweeping K ∈ {4, 8} plus
 //!                   the given K; one machine-readable SHARD line per
 //!                   shard count reports per-shard local p50, merge
-//!                   time, witness-prune fraction, and speedup
+//!                   time, witness_frac (always 0: the merge reruns
+//!                   the local operator over the union), and speedup
 //!                   (needs K >= 2)
 //! --partitioner P   partitioning family of the sharded-tier phase:
 //!                   random | grid | angular (default random)

@@ -7,9 +7,8 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use skyline_core::algo::Algorithm;
 use skyline_core::dominance::simd::{flip_pref, TileStore};
-use skyline_core::skyband::{skyband_counts, top_k_dominating};
+use skyline_core::skyband::{skyband_blockflow, top_k_dominating};
 use skyline_core::{maintain, RunStats, SpanSink};
 use skyline_data::persist::{StdIo, WalIo};
 use skyline_data::{Dataset, PartitionerKind, ShardedStore};
@@ -19,9 +18,7 @@ use crate::cache::{CacheKey, CacheStats, CachedValue, ResultCache};
 use crate::catalog::{Catalog, DatasetEntry, MutationOutcome};
 use crate::clock::{Clock, MonotonicClock};
 use crate::error::EngineError;
-use crate::merge::{
-    merge_local_skybands, merge_local_skylines, MergeStats, ShardSkyband, ShardSkyline,
-};
+use crate::merge::{merge, operator, Local, MergeStats};
 use crate::planner::feedback::{
     FeedbackConfig, FeedbackLoop, FeedbackStats, Observation, PlanKind,
 };
@@ -430,9 +427,9 @@ impl Engine {
     /// `partitioner`, each with its own cache-resident tile layout,
     /// append segment, and tombstones. Mutations touch exactly the
     /// shards their rows route to, and the planner answers large
-    /// queries by computing per-shard skylines and merging them with
-    /// witness-point pruning ([`Strategy::Sharded`]). Returns the
-    /// dataset's new version.
+    /// queries by computing per-shard skylines and merging them by
+    /// rerunning the same operator over their union
+    /// ([`Strategy::Sharded`]). Returns the dataset's new version.
     pub fn register_sharded(
         &self,
         name: &str,
@@ -1501,45 +1498,35 @@ impl EngineShared {
                         .sharded()
                         .expect("planner emits Sharded only for entries with a store attached"),
                 );
-                if let QueryKind::Skyband { k } = kind {
-                    let (pairs, stats, merge) =
-                        self.run_sharded_skyband(prepared, &plan, k, &store, pool, trace);
-                    shard_merge = Some(merge);
-                    let (ids, cnts): (Vec<u32>, Vec<u32>) = pairs.into_iter().unzip();
-                    counts = Some(cnts);
-                    (ids, Some(stats))
-                } else {
-                    let (indices, stats, merge) =
-                        self.run_sharded(prepared, &plan, &store, pool, trace);
-                    shard_merge = Some(merge);
-                    (indices, Some(stats))
-                }
+                let (ids, cnts, stats, merge) =
+                    self.run_sharded(prepared, &plan, &store, pool, trace);
+                shard_merge = Some(merge);
+                counts = cnts;
+                (ids, Some(stats))
             }
             Strategy::Algorithm(algo) if !kind.is_skyline() => {
                 // Counting kinds: fold the live rows onto the effective
-                // dimensions and run the sum-sorted counting kernel —
-                // one SFS-shaped pass, whatever the nominal algorithm.
+                // dimensions and run a counting kernel — the pooled
+                // block flow for skybands, the sequential scan for
+                // top-k dominating — whatever the nominal algorithm.
                 let exec_t0 = trace.map(|_| self.clock.now());
-                let dims = &plan.effective_dims;
-                let width = dims.len();
-                let live = Arc::clone(entry.live_ids());
-                let mut rows = Vec::with_capacity(live.len() * width);
-                for &id in live.iter() {
-                    let src = entry.point(id);
-                    for &c in dims {
-                        rows.push(flip_pref(src[c], prepared.max_mask & (1 << c) != 0));
-                    }
-                }
+                let width = plan.effective_dims.len();
+                let (view, id_map) =
+                    self.algorithm_input(entry, &plan.effective_dims, prepared.max_mask, pool);
+                let rows = view.as_ref().unwrap_or(entry.base_data()).values();
                 let mut dts = 0u64;
                 let pairs = match kind {
-                    QueryKind::Skyband { k } => skyband_counts(&rows, width, k, &mut dts),
-                    QueryKind::TopKDominating { k } => top_k_dominating(&rows, width, k, &mut dts),
+                    QueryKind::Skyband { k } => {
+                        let alpha = plan.config.alpha_qflow;
+                        skyband_blockflow(rows, width, k, alpha, pool, &mut dts)
+                    }
+                    QueryKind::TopKDominating { k } => top_k_dominating(rows, width, k, &mut dts),
                     QueryKind::Skyline => unreachable!("guarded by the match arm"),
                 };
                 let mut ids = Vec::with_capacity(pairs.len());
                 let mut cnts = Vec::with_capacity(pairs.len());
                 for (pos, c) in pairs {
-                    ids.push(live[pos as usize]);
+                    ids.push(id_map.as_ref().map_or(pos, |live| live[pos as usize]));
                     cnts.push(c);
                 }
                 if let (Some(tr), Some(t0)) = (trace, exec_t0) {
@@ -1785,12 +1772,14 @@ impl EngineShared {
     }
 
     /// Executes a [`Strategy::Sharded`] plan: folds each shard's live
-    /// rows into a per-shard working set (*scatter*), computes the
-    /// per-shard local skylines — fanned out one shard per pool lane
-    /// when the pool has more than one thread — and combines them with
-    /// the witness-pruned [`merge`](crate::merge). Per-shard spans and
-    /// dominance-test counts land on the trace under
-    /// [`SpanKind::ShardLocal`], keyed by shard index.
+    /// rows into a per-shard working set (*scatter*), runs the query's
+    /// operator on every shard — fanned out one shard per pool lane
+    /// when the pool has more than one thread — and merges by running
+    /// the same operator over the union of the local results on the
+    /// whole pool. Per-shard spans and dominance-test counts land on
+    /// the trace under [`SpanKind::ShardLocal`], keyed by shard index.
+    /// Returns the member ids in ascending order, with exact dominator
+    /// counts for a k-skyband.
     fn run_sharded(
         &self,
         prepared: &Prepared,
@@ -1798,14 +1787,15 @@ impl EngineShared {
         store: &ShardedStore,
         pool: &ThreadPool,
         trace: Option<&Arc<ActiveTrace>>,
-    ) -> (Vec<u32>, RunStats, MergeStats) {
+    ) -> (Vec<u32>, Option<Vec<u32>>, RunStats, MergeStats) {
         /// One shard's fan-out slot: shard index, stable ids, folded
         /// coordinates, and the local result filled in by its lane.
-        type ShardSlot = (usize, Vec<u32>, Vec<f32>, Option<(ShardSkyline, RunStats)>);
+        type ShardSlot = (usize, Vec<u32>, Vec<f32>, Option<(Local, RunStats)>);
 
         let dims = &plan.effective_dims;
         let width = dims.len();
         let max_mask = prepared.max_mask;
+        let kind = prepared.key.kind;
         let k = store.k();
 
         // Scatter: one pass per shard over its tile base + append
@@ -1837,51 +1827,35 @@ impl EngineShared {
             );
         }
 
-        // Local skylines: each shard runs a regular algorithm (the
-        // tile kernels untouched) tuned to its own cardinality, on a
-        // working set small enough to stay cache-resident.
+        // Local results: each shard runs the operator tuned to its own
+        // cardinality, on a working set small enough to stay
+        // cache-resident.
         let mut cfg = plan.config.clone();
         cfg.span_sink = None;
         cfg.dt_counters = None;
         let run_local = |lane: &ThreadPool, i: usize, ids: Vec<u32>, values: Vec<f32>| {
-            let n = ids.len();
             let started = self.clock.now();
             let data =
                 Dataset::from_flat(values, width).expect("folded projection of a valid dataset");
-            let (indices, stats) = if n == 0 {
-                (Vec::new(), RunStats::default())
-            } else {
-                let algo = if n <= 4096 {
-                    Algorithm::Sfs
-                } else {
-                    Algorithm::Hybrid
-                };
-                let r = algo.run(&data, lane, &cfg);
-                (r.indices, r.stats)
-            };
+            let answer = operator(kind, &data, lane, &cfg);
             if let Some(tr) = trace {
                 tr.add_span_sharded(
                     SpanKind::ShardLocal,
                     Some(i as u32),
                     started,
                     self.clock.now().saturating_sub(started),
-                    stats.dominance_tests,
+                    answer.stats.dominance_tests,
                 );
             }
-            let mut members = Vec::with_capacity(indices.len());
-            let mut rows = Vec::with_capacity(indices.len() * width);
-            for &pos in &indices {
-                members.push(ids[pos as usize]);
-                rows.extend_from_slice(data.row(pos as usize));
+            let mut local = Local {
+                ids: Vec::with_capacity(answer.positions.len()),
+                rows: Vec::with_capacity(answer.positions.len() * width),
+            };
+            for &pos in &answer.positions {
+                local.ids.push(ids[pos as usize]);
+                local.rows.extend_from_slice(data.row(pos as usize));
             }
-            (
-                ShardSkyline {
-                    shard: i,
-                    ids: members,
-                    rows,
-                },
-                stats,
-            )
+            (local, answer.stats)
         };
         if pool.threads() > 1 && k > 1 {
             par_chunks_mut(pool, &mut work, 1, |_, chunk| {
@@ -1911,11 +1885,10 @@ impl EngineShared {
             locals.push(local);
         }
 
-        // Merge: witness probe + sum-sorted SIMD range scans over the
-        // concatenated local skylines; never revisits base data.
+        // Merge: the same operator over the union of the local
+        // results, on the whole pool; never revisits base data.
         let merge_t0 = trace.map(|_| self.clock.now());
-        let (mut merged, mstats) = merge_local_skylines(width, &locals);
-        merged.sort_unstable();
+        let (merged, counts, mstats) = merge(kind, width, locals, pool);
         if let (Some(tr), Some(t0)) = (trace, merge_t0) {
             tr.add_span(
                 SpanKind::ShardMerge,
@@ -1926,132 +1899,7 @@ impl EngineShared {
         }
         stats.dominance_tests += mstats.dominance_tests;
         stats.skyline_size = merged.len();
-        (merged, stats, mstats)
-    }
-
-    /// Executes a [`Strategy::Sharded`] plan for a k-skyband query:
-    /// folds each shard's live rows (*scatter*), computes the
-    /// per-shard **local skybands** with the sum-sorted counting
-    /// kernel — fanned out one shard per pool lane — then combines
-    /// them with the counting [`merge`](crate::merge), which is exact
-    /// below `k` because every missing dominator is transitively
-    /// covered by broadcast ones (see
-    /// [`merge_local_skybands`]). Returns `(stable id, exact global
-    /// dominator count)` pairs sorted by id.
-    fn run_sharded_skyband(
-        &self,
-        prepared: &Prepared,
-        plan: &QueryPlan,
-        band_k: u32,
-        store: &ShardedStore,
-        pool: &ThreadPool,
-        trace: Option<&Arc<ActiveTrace>>,
-    ) -> (Vec<(u32, u32)>, RunStats, MergeStats) {
-        /// One shard's fan-out slot: shard index, stable ids, folded
-        /// coordinates, and the local skyband filled in by its lane.
-        type ShardSlot = (usize, Vec<u32>, Vec<f32>, Option<(ShardSkyband, u64)>);
-
-        let dims = &plan.effective_dims;
-        let width = dims.len();
-        let max_mask = prepared.max_mask;
-        let k = store.k();
-
-        let scatter_t0 = trace.map(|_| self.clock.now());
-        let mut work: Vec<ShardSlot> = Vec::with_capacity(k);
-        for i in 0..k {
-            let shard = store.shard(i);
-            let mut ids = Vec::with_capacity(shard.live_len());
-            let mut values = Vec::with_capacity(shard.live_len() * width);
-            shard.for_each_live(|id, row| {
-                ids.push(id);
-                for &c in dims {
-                    values.push(flip_pref(row[c], max_mask & (1 << c) != 0));
-                }
-            });
-            store.add_scan_debt(i, shard.dead() as u64);
-            work.push((i, ids, values, None));
-        }
-        if let (Some(tr), Some(t0)) = (trace, scatter_t0) {
-            tr.add_span(
-                SpanKind::ShardScatter,
-                t0,
-                self.clock.now().saturating_sub(t0),
-                0,
-            );
-        }
-
-        let run_local = |i: usize, ids: Vec<u32>, values: Vec<f32>| {
-            let started = self.clock.now();
-            let mut dts = 0u64;
-            let pairs = if ids.is_empty() {
-                Vec::new()
-            } else {
-                skyband_counts(&values, width, band_k, &mut dts)
-            };
-            if let Some(tr) = trace {
-                tr.add_span_sharded(
-                    SpanKind::ShardLocal,
-                    Some(i as u32),
-                    started,
-                    self.clock.now().saturating_sub(started),
-                    dts,
-                );
-            }
-            let mut members = Vec::with_capacity(pairs.len());
-            let mut counts = Vec::with_capacity(pairs.len());
-            let mut rows = Vec::with_capacity(pairs.len() * width);
-            for (pos, c) in pairs {
-                members.push(ids[pos as usize]);
-                counts.push(c);
-                rows.extend_from_slice(&values[pos as usize * width..(pos as usize + 1) * width]);
-            }
-            (
-                ShardSkyband {
-                    shard: i,
-                    ids: members,
-                    counts,
-                    rows,
-                },
-                dts,
-            )
-        };
-        if pool.threads() > 1 && k > 1 {
-            par_chunks_mut(pool, &mut work, 1, |_, chunk| {
-                for slot in chunk.iter_mut() {
-                    let ids = std::mem::take(&mut slot.1);
-                    let values = std::mem::take(&mut slot.2);
-                    slot.3 = Some(run_local(slot.0, ids, values));
-                }
-            });
-        } else {
-            for slot in work.iter_mut() {
-                let ids = std::mem::take(&mut slot.1);
-                let values = std::mem::take(&mut slot.2);
-                slot.3 = Some(run_local(slot.0, ids, values));
-            }
-        }
-        let mut locals = Vec::with_capacity(k);
-        let mut stats = RunStats::default();
-        for (_, _, _, out) in work {
-            let (local, dts) = out.expect("every shard ran");
-            stats.dominance_tests += dts;
-            locals.push(local);
-        }
-
-        let merge_t0 = trace.map(|_| self.clock.now());
-        let (mut merged, mstats) = merge_local_skybands(width, band_k, &locals);
-        merged.sort_unstable();
-        if let (Some(tr), Some(t0)) = (trace, merge_t0) {
-            tr.add_span(
-                SpanKind::ShardMerge,
-                t0,
-                self.clock.now().saturating_sub(t0),
-                mstats.dominance_tests,
-            );
-        }
-        stats.dominance_tests += mstats.dominance_tests;
-        stats.skyline_size = merged.len();
-        (merged, stats, mstats)
+        (merged, counts, stats, mstats)
     }
 }
 

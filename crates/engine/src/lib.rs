@@ -105,7 +105,7 @@ mod catalog;
 mod clock;
 mod engine;
 mod error;
-pub mod merge;
+mod merge;
 pub mod planner;
 mod query;
 pub mod recovery;
@@ -117,9 +117,7 @@ pub use catalog::{Catalog, DatasetEntry, DatasetStats, DeltaSummary, DimStats, M
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use engine::{Engine, EngineConfig, MutationReport};
 pub use error::{EngineError, QuotaKind, RejectReason};
-pub use merge::{
-    merge_local_skybands, merge_local_skylines, MergeStats, ShardSkyband, ShardSkyline,
-};
+pub use merge::MergeStats;
 pub use planner::feedback::{FeedbackConfig, FeedbackLoop, FeedbackStats, Observation, PlanKind};
 pub use planner::{
     PlanCandidate, Planner, PlannerConfig, PriorResult, QueryPlan, Strategy, SuperspaceSeed,

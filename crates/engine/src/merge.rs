@@ -1,94 +1,61 @@
-//! Witness-pruned merge of per-shard local skylines.
+//! The operator a sharded plan runs, and its merge: the same operator
+//! rerun over the union of the shards' local results.
 //!
 //! A shard's local skyline is a superset of its contribution to the
-//! global skyline, and strict dominance is transitive — so a
-//! concatenation of all local skylines contains the global skyline,
-//! and a candidate is global **iff no other candidate strictly
-//! dominates it** (any dominating live row is either a candidate or is
-//! itself dominated by one). The merge therefore never revisits base
-//! data: shards broadcast only their local skyline plus a small
-//! **witness set**, and elimination runs entirely over the broadcast
-//! rows.
+//! global skyline, and strict dominance is transitive, so the union of
+//! all local skylines contains the global skyline, and every candidate
+//! outside it is dominated by a global member that is itself a
+//! candidate. The skyline of the union is therefore the global skyline.
+//! The same holds for k-skybands: a point dominated by fewer than `k`
+//! rows globally is dominated by fewer than `k` in its shard, all of
+//! its dominators are global band members (so they are candidates
+//! too), and a point dominated by `k` or more has at least `k` global
+//! band members among its dominators (the lemma in
+//! `skyline_core::skyband`). Counting within the union is exact below
+//! `k` and saturates at `k`.
 //!
-//! Cost shape, in order of application:
-//!
-//! 1. **Witness probe** — each shard nominates at most `d + 1`
-//!    witnesses (its per-dimension minima and its minimum-sum point,
-//!    the rows most likely to dominate foreign candidates). Probing a
-//!    candidate against the tiny witness tile kills the bulk of
-//!    locally-undominated-but-globally-dominated rows for a few tile
-//!    compares. Own-shard witnesses are harmless: two members of the
-//!    same local skyline never dominate each other, so the probe needs
-//!    no ownership bookkeeping.
-//! 2. **Sorted range scan** — survivors are checked against the full
-//!    candidate tile, laid out in ascending folded-coordinate-sum
-//!    order. A strict dominator has a strictly smaller exact sum, so
-//!    only the prefix up to (and including) the candidate's equal-sum
-//!    run can contain one: [`TileStore::any_dominates_range`] scans
-//!    exactly that prefix, eight lanes per compare. Equal-sum rows are
-//!    kept in the scanned range because floating-point sums can tie
-//!    where exact sums differ; a candidate inside its own tie run
-//!    never dominates itself, so the inclusive bound is sound and
-//!    loses nothing.
+//! So the merge never revisits base data and needs no bespoke scan:
+//! it concatenates the local results and runs `operator` over them on
+//! the whole pool — the block-flow counting kernel for skybands, SFS or
+//! Hybrid for skylines — with α tuned to the candidate count.
 //!
 //! All rows arriving here are already preference-folded and projected
-//! to the query's effective dimensions, so plain [`TileStore::push`] /
-//! minimisation semantics apply throughout.
-//!
-//! [`TileStore::any_dominates_range`]: skyline_core::dominance::simd::TileStore::any_dominates_range
-//! [`TileStore::push`]: skyline_core::dominance::simd::TileStore::push
+//! to the query's effective dimensions (minimisation on every
+//! coordinate).
 
-use skyline_core::dominance::simd::TileStore;
+use skyline_core::algo::Algorithm;
+use skyline_core::skyband::skyband_blockflow;
+use skyline_core::{RunStats, SkylineConfig};
+use skyline_data::Dataset;
+use skyline_parallel::ThreadPool;
 
-/// One shard's broadcast: its local skyline in preference-folded,
-/// dimension-projected form.
-#[derive(Debug, Clone, Default)]
-pub struct ShardSkyline {
-    /// Shard index the rows came from.
-    pub shard: usize,
-    /// Stable dataset ids of the local skyline members.
-    pub ids: Vec<u32>,
-    /// Folded row data, `dims` contiguous values per id, parallel to
-    /// `ids`.
-    pub rows: Vec<f32>,
-}
+use crate::query::QueryKind;
 
-/// One shard's broadcast for a k-skyband query: its **local skyband**
-/// (members dominated by fewer than `k` shard-local points) with each
-/// member's local dominator count carried along as a witness count.
-#[derive(Debug, Clone, Default)]
-pub struct ShardSkyband {
-    /// Shard index the rows came from.
-    pub shard: usize,
-    /// Stable dataset ids of the local skyband members.
-    pub ids: Vec<u32>,
-    /// Local (within-shard) dominator counts, parallel to `ids`; every
-    /// entry is `< k` by construction.
-    pub counts: Vec<u32>,
-    /// Folded row data, `dims` contiguous values per id, parallel to
-    /// `ids`.
-    pub rows: Vec<f32>,
-}
+/// Above this many rows the skyline operator runs Hybrid instead of
+/// SFS.
+const SFS_MAX_ROWS: usize = 4096;
 
 /// What the merge did, for telemetry and the bench harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MergeStats {
-    /// Candidates entering the merge (Σ local skyline sizes).
+    /// Candidates entering the merge (Σ local result sizes).
     pub candidates: usize,
-    /// Witness rows broadcast (≤ `(d + 1) ·` shards).
+    /// Witness rows broadcast. Always 0: the merge reruns the local
+    /// operator over the union and broadcasts no witnesses. Kept so
+    /// readers of the field keep building.
     pub witnesses: usize,
-    /// Candidates eliminated by the witness probe alone.
+    /// Candidates eliminated by a witness probe. Always 0, see
+    /// [`witnesses`](Self::witnesses).
     pub witness_kills: usize,
-    /// Candidates surviving as global skyline members.
+    /// Candidates surviving as global result members.
     pub survivors: usize,
-    /// Dominance tests charged to the merge (tile compares × lanes).
+    /// Dominance tests charged to the merge's operator run.
     pub dominance_tests: u64,
 }
 
 impl MergeStats {
-    /// Fraction of candidates the witness probe killed without
-    /// touching the full candidate tile (0 when there were no
-    /// candidates).
+    /// Fraction of candidates a witness probe killed: 0, since the
+    /// merge has no witness probe (kept for existing readers).
     pub fn witness_frac(&self) -> f64 {
         if self.candidates == 0 {
             0.0
@@ -98,229 +65,105 @@ impl MergeStats {
     }
 }
 
-/// Merges per-shard local skylines into the global skyline.
-///
-/// `dims` is the folded row width. Returns the surviving stable ids
-/// (unsorted) and the merge statistics.
-pub fn merge_local_skylines(dims: usize, locals: &[ShardSkyline]) -> (Vec<u32>, MergeStats) {
-    let mut stats = MergeStats::default();
-    let total: usize = locals.iter().map(|l| l.ids.len()).sum();
-    stats.candidates = total;
-    if total == 0 {
-        return (Vec::new(), stats);
-    }
-
-    // Candidate order: ascending exact-as-f64 folded sum. Strict
-    // dominators sort strictly before their victims except for
-    // floating-point sum ties, which the inclusive tie-run bound below
-    // covers.
-    let mut order: Vec<(f64, u32, u32)> = Vec::with_capacity(total); // (sum, local, row)
-    for (li, local) in locals.iter().enumerate() {
-        debug_assert_eq!(local.rows.len(), local.ids.len() * dims);
-        for r in 0..local.ids.len() {
-            let row = &local.rows[r * dims..(r + 1) * dims];
-            let sum: f64 = row.iter().map(|&v| v as f64).sum();
-            order.push((sum, li as u32, r as u32));
-        }
-    }
-    order.sort_by(|a, b| a.0.total_cmp(&b.0));
-
-    let row_of = |li: u32, r: u32| -> &[f32] {
-        let base = r as usize * dims;
-        &locals[li as usize].rows[base..base + dims]
-    };
-
-    let mut tile = TileStore::with_capacity(dims, total);
-    for &(_, li, r) in &order {
-        tile.push(row_of(li, r));
-    }
-
-    // Witnesses: per shard, the per-dimension minima and the
-    // minimum-sum member of its local skyline.
-    let mut witnesses = TileStore::new(dims);
-    for local in locals {
-        let n = local.ids.len();
-        if n == 0 {
-            continue;
-        }
-        let mut picks: Vec<usize> = Vec::with_capacity(dims + 1);
-        for j in 0..dims {
-            let mut best = 0usize;
-            for r in 1..n {
-                if local.rows[r * dims + j] < local.rows[best * dims + j] {
-                    best = r;
-                }
-            }
-            picks.push(best);
-        }
-        let mut best_sum = 0usize;
-        let mut best = f64::INFINITY;
-        for r in 0..n {
-            let s: f64 = local.rows[r * dims..(r + 1) * dims]
-                .iter()
-                .map(|&v| v as f64)
-                .sum();
-            if s < best {
-                best = s;
-                best_sum = r;
-            }
-        }
-        picks.push(best_sum);
-        picks.sort_unstable();
-        picks.dedup();
-        for r in picks {
-            witnesses.push(&local.rows[r * dims..(r + 1) * dims]);
-        }
-    }
-    stats.witnesses = witnesses.len();
-
-    let mut out = Vec::new();
-    let mut dts = 0u64;
-    let mut i = 0usize;
-    while i < total {
-        // The equal-sum run [i, run_end): every member's dominators
-        // live strictly below run_end in the sorted tile.
-        let mut run_end = i + 1;
-        while run_end < total && order[run_end].0 == order[i].0 {
-            run_end += 1;
-        }
-        for &(_, li, r) in &order[i..run_end] {
-            let q = row_of(li, r);
-            if witnesses.any_dominates(q, &mut dts) {
-                stats.witness_kills += 1;
-                continue;
-            }
-            if !tile.any_dominates_range(0, run_end, q, &mut dts) {
-                out.push(locals[li as usize].ids[r as usize]);
-            }
-        }
-        i = run_end;
-    }
-    stats.survivors = out.len();
-    stats.dominance_tests = dts;
-    (out, stats)
+/// An operator's answer over folded rows.
+#[derive(Debug, Default)]
+pub(crate) struct Answer {
+    /// Ascending row positions of the members.
+    pub positions: Vec<u32>,
+    /// Exact dominator counts parallel to `positions`, for skybands.
+    pub counts: Option<Vec<u32>>,
+    /// The run's statistics.
+    pub stats: RunStats,
 }
 
-/// Merges per-shard local k-skybands into the global k-skyband.
-///
-/// `dims` is the folded row width and `k` the skyband depth. Returns
-/// `(stable id, exact global dominator count)` pairs (unsorted) and the
-/// merge statistics.
-///
-/// Correctness rests on a strengthening of the local-skyline lemma: for
-/// any point `c` of shard `t`, at least `min(|D_t(c)|, k)` of `c`'s
-/// shard-local dominators are themselves in the local k-skyband (strong
-/// induction on local dominator count: a local dominator `y` missing
-/// from the local skyband has `count_t(y) ≥ k`, and its own dominators
-/// — a strict subset of `c`'s — are transitively dominators of `c`).
-/// Every cross-shard dominator of a candidate is either broadcast or
-/// has ≥ k broadcast dominators that transitively dominate the
-/// candidate. So counting dominators **among the broadcast candidates
-/// only**, capped at `k`, is exact below `k` and correctly saturates at
-/// `≥ k` — no base-data revisit, and no carry-over arithmetic: a
-/// candidate's same-shard broadcast dominators are exactly its local
-/// count (both sides `< k`).
-pub fn merge_local_skybands(
-    dims: usize,
-    k: u32,
-    locals: &[ShardSkyband],
-) -> (Vec<(u32, u32)>, MergeStats) {
-    let mut stats = MergeStats::default();
-    let total: usize = locals.iter().map(|l| l.ids.len()).sum();
-    stats.candidates = total;
-    if total == 0 || k == 0 {
-        return (Vec::new(), stats);
+/// The operator of a sharded plan over folded `data`, used both per
+/// shard and over the union: the k-skyband through the block-flow
+/// kernel with block size `cfg.alpha_qflow`, otherwise the skyline
+/// through SFS up to [`SFS_MAX_ROWS`] rows and Hybrid above.
+pub(crate) fn operator(
+    kind: QueryKind,
+    data: &Dataset,
+    pool: &ThreadPool,
+    cfg: &SkylineConfig,
+) -> Answer {
+    if let QueryKind::Skyband { k } = kind {
+        let mut dts = 0u64;
+        let (rows, d) = (data.values(), data.dims());
+        let pairs = skyband_blockflow(rows, d, k, cfg.alpha_qflow, pool, &mut dts);
+        let (positions, counts): (Vec<u32>, Vec<u32>) = pairs.into_iter().unzip();
+        let stats = RunStats {
+            dominance_tests: dts,
+            skyline_size: positions.len(),
+            ..RunStats::default()
+        };
+        return Answer {
+            positions,
+            counts: Some(counts),
+            stats,
+        };
     }
-
-    let mut order: Vec<(f64, u32, u32)> = Vec::with_capacity(total); // (sum, local, row)
-    for (li, local) in locals.iter().enumerate() {
-        debug_assert_eq!(local.rows.len(), local.ids.len() * dims);
-        debug_assert_eq!(local.counts.len(), local.ids.len());
-        for r in 0..local.ids.len() {
-            let row = &local.rows[r * dims..(r + 1) * dims];
-            let sum: f64 = row.iter().map(|&v| v as f64).sum();
-            order.push((sum, li as u32, r as u32));
-        }
+    if data.is_empty() {
+        return Answer::default();
     }
-    order.sort_by(|a, b| a.0.total_cmp(&b.0));
-
-    let row_of = |li: u32, r: u32| -> &[f32] {
-        let base = r as usize * dims;
-        &locals[li as usize].rows[base..base + dims]
+    let algo = if data.len() <= SFS_MAX_ROWS {
+        Algorithm::Sfs
+    } else {
+        Algorithm::Hybrid
     };
-
-    let mut tile = TileStore::with_capacity(dims, total);
-    for &(_, li, r) in &order {
-        tile.push(row_of(li, r));
+    let r = algo.run(data, pool, cfg);
+    Answer {
+        positions: r.indices,
+        counts: None,
+        stats: r.stats,
     }
+}
 
-    // Witnesses: per shard, the per-dimension minima and minimum-sum
-    // member of its local skyband. Each is a distinct live point and a
-    // candidate, so k witnesses dominating a probe certify a global
-    // count of at least k without touching the full tile.
-    let mut witnesses = TileStore::new(dims);
+/// One shard's local result: member ids and their folded rows.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Local {
+    /// Stable dataset ids of the local result members.
+    pub ids: Vec<u32>,
+    /// Folded row data, `width` contiguous values per id.
+    pub rows: Vec<f32>,
+}
+
+/// Merges the shards' local results into the global one by running
+/// [`operator`] over their union on `pool`. Returns the member ids in
+/// ascending order, the exact counts for a skyband, and the merge
+/// statistics.
+pub(crate) fn merge(
+    kind: QueryKind,
+    width: usize,
+    locals: Vec<Local>,
+    pool: &ThreadPool,
+) -> (Vec<u32>, Option<Vec<u32>>, MergeStats) {
+    let candidates: usize = locals.iter().map(|l| l.ids.len()).sum();
+    let mut ids = Vec::with_capacity(candidates);
+    let mut rows = Vec::with_capacity(candidates * width);
     for local in locals {
-        let n = local.ids.len();
-        if n == 0 {
-            continue;
-        }
-        let mut picks: Vec<usize> = Vec::with_capacity(dims + 1);
-        for j in 0..dims {
-            let mut best = 0usize;
-            for r in 1..n {
-                if local.rows[r * dims + j] < local.rows[best * dims + j] {
-                    best = r;
-                }
-            }
-            picks.push(best);
-        }
-        let mut best_sum = 0usize;
-        let mut best = f64::INFINITY;
-        for r in 0..n {
-            let s: f64 = local.rows[r * dims..(r + 1) * dims]
-                .iter()
-                .map(|&v| v as f64)
-                .sum();
-            if s < best {
-                best = s;
-                best_sum = r;
-            }
-        }
-        picks.push(best_sum);
-        picks.sort_unstable();
-        picks.dedup();
-        for r in picks {
-            witnesses.push(&local.rows[r * dims..(r + 1) * dims]);
-        }
+        debug_assert_eq!(local.rows.len(), local.ids.len() * width);
+        ids.extend(local.ids);
+        rows.extend(local.rows);
     }
-    stats.witnesses = witnesses.len();
-    let wn = witnesses.len();
-
-    let mut out = Vec::new();
-    let mut dts = 0u64;
-    let mut i = 0usize;
-    while i < total {
-        let mut run_end = i + 1;
-        while run_end < total && order[run_end].0 == order[i].0 {
-            run_end += 1;
-        }
-        for &(_, li, r) in &order[i..run_end] {
-            let q = row_of(li, r);
-            if witnesses.count_dominators_range(0, wn, q, k, &mut dts) >= k {
-                stats.witness_kills += 1;
-                continue;
-            }
-            let count = tile.count_dominators_range(0, run_end, q, k, &mut dts);
-            if count < k {
-                debug_assert!(count >= locals[li as usize].counts[r as usize]);
-                out.push((locals[li as usize].ids[r as usize], count));
-            }
-        }
-        i = run_end;
-    }
-    stats.survivors = out.len();
-    stats.dominance_tests = dts;
-    (out, stats)
+    let union = Dataset::from_flat(rows, width).expect("folded rows of a valid dataset");
+    let cfg = SkylineConfig::tuned(candidates, pool.threads());
+    let answer = operator(kind, &union, pool, &cfg);
+    // Union positions back to stable ids, ascending, counts alongside.
+    let mut members: Vec<(u32, u32)> = answer
+        .positions
+        .iter()
+        .enumerate()
+        .map(|(j, &p)| (ids[p as usize], answer.counts.as_ref().map_or(0, |c| c[j])))
+        .collect();
+    members.sort_unstable();
+    let stats = MergeStats {
+        candidates,
+        survivors: members.len(),
+        dominance_tests: answer.stats.dominance_tests,
+        ..MergeStats::default()
+    };
+    let (ids, counts): (Vec<u32>, Vec<u32>) = members.into_iter().unzip();
+    (ids, answer.counts.map(|_| counts), stats)
 }
 
 #[cfg(test)]
@@ -329,263 +172,187 @@ mod tests {
     use skyline_core::dominance::simd::flip_pref;
     use skyline_core::verify;
     use skyline_data::{generate, Distribution, PartitionerKind, ShardedStore};
-    use skyline_parallel::ThreadPool;
 
-    /// Reference merge path: shard the data, compute each local
-    /// skyline naively, merge, and compare against the global naive
-    /// skyline.
-    fn check(
-        n: usize,
-        d: usize,
-        dist: Distribution,
-        k: usize,
-        kind: PartitionerKind,
+    /// Shards `data`, computes each shard's local result with
+    /// [`operator`] on one lane, and merges them on a two-lane pool.
+    fn sharded(
+        data: &Dataset,
+        shards: usize,
+        partitioner: PartitionerKind,
+        kind: QueryKind,
         max_mask: u32,
-    ) {
+    ) -> (Vec<u32>, Option<Vec<u32>>, MergeStats) {
+        let d = data.dims();
+        let store = ShardedStore::build(data, shards, partitioner);
+        let lane = ThreadPool::new(1);
+        let locals = (0..store.k())
+            .map(|s| {
+                let mut ids = Vec::new();
+                let mut rows = Vec::new();
+                store.shard(s).for_each_live(|id, row| {
+                    ids.push(id);
+                    for (j, &v) in row.iter().enumerate() {
+                        rows.push(flip_pref(v, max_mask & (1 << j) != 0));
+                    }
+                });
+                let cfg = SkylineConfig::tuned(ids.len(), 1);
+                let rows = Dataset::from_flat(rows, d).unwrap();
+                let answer = operator(kind, &rows, &lane, &cfg);
+                let mut local = Local::default();
+                for &p in &answer.positions {
+                    local.ids.push(ids[p as usize]);
+                    local.rows.extend_from_slice(rows.row(p as usize));
+                }
+                local
+            })
+            .collect();
+        merge(kind, d, locals, &ThreadPool::new(2))
+    }
+
+    fn check(n: usize, d: usize, dist: Distribution, shards: usize, max_mask: u32) {
         let pool = ThreadPool::new(1);
         let data = generate(dist, n, d, 42, &pool);
         let dims: Vec<usize> = (0..d).collect();
-        let store = ShardedStore::build(&data, k, kind);
-        let mut locals = Vec::new();
-        for s in 0..store.k() {
-            let mut ids = Vec::new();
-            let mut rows = Vec::new();
-            store.shard(s).for_each_live(|id, row| {
-                ids.push(id);
-                for (j, &v) in row.iter().enumerate() {
-                    rows.push(flip_pref(v, max_mask & (1 << j) != 0));
-                }
-            });
-            // Local skyline by brute force over the folded rows.
-            let mut keep = Vec::new();
-            let mut krows = Vec::new();
-            'outer: for a in 0..ids.len() {
-                let pa = &rows[a * d..(a + 1) * d];
-                for b in 0..ids.len() {
-                    if a == b {
-                        continue;
-                    }
-                    let pb = &rows[b * d..(b + 1) * d];
-                    if pb.iter().zip(pa).all(|(x, y)| x <= y)
-                        && pb.iter().zip(pa).any(|(x, y)| x < y)
-                    {
-                        continue 'outer;
-                    }
-                }
-                keep.push(ids[a]);
-                krows.extend_from_slice(pa);
-            }
-            locals.push(ShardSkyline {
-                shard: s,
-                ids: keep,
-                rows: krows,
-            });
+        let expect = verify::naive_skyline_on_pref(&data, &dims, max_mask);
+        for kind in PartitionerKind::ALL {
+            let (got, counts, stats) = sharded(&data, shards, kind, QueryKind::Skyline, max_mask);
+            assert_eq!(got, expect, "{dist:?} shards={shards} {kind:?}");
+            assert!(counts.is_none());
+            assert_eq!(stats.survivors, expect.len());
+            assert!(stats.candidates >= expect.len());
+            assert_eq!((stats.witnesses, stats.witness_kills), (0, 0));
         }
-        let (mut got, stats) = merge_local_skylines(d, &locals);
-        got.sort_unstable();
-        let mut expect = verify::naive_skyline_on_pref(&data, &dims, max_mask);
-        expect.sort_unstable();
-        assert_eq!(got, expect, "{dist:?} k={k} {kind:?} mask={max_mask:b}");
-        assert_eq!(stats.survivors, expect.len());
-        assert!(stats.witnesses <= (d + 1) * store.k());
-        assert_eq!(
-            stats.candidates,
-            locals.iter().map(|l| l.ids.len()).sum::<usize>()
-        );
+    }
+
+    fn check_band(n: usize, d: usize, dist: Distribution, band_k: u32, shards: usize, mask: u32) {
+        let pool = ThreadPool::new(1);
+        let data = generate(dist, n, d, 1337, &pool);
+        let dims: Vec<usize> = (0..d).collect();
+        let expect = verify::naive_skyband_on_pref(&data, &dims, mask, band_k);
+        for kind in PartitionerKind::ALL {
+            let band = QueryKind::Skyband { k: band_k };
+            let (ids, counts, stats) = sharded(&data, shards, kind, band, mask);
+            let got: Vec<(u32, u32)> = ids.into_iter().zip(counts.unwrap()).collect();
+            assert_eq!(got, expect, "{dist:?} k={band_k} shards={shards} {kind:?}");
+            assert_eq!(stats.survivors, expect.len());
+        }
     }
 
     #[test]
     fn merge_matches_naive_across_partitioners() {
-        for kind in PartitionerKind::ALL {
-            for k in [2usize, 4] {
-                check(600, 4, Distribution::Anticorrelated, k, kind, 0);
-                check(600, 3, Distribution::Independent, k, kind, 0b101);
-                check(400, 2, Distribution::Correlated, k, kind, 0b10);
-            }
+        for shards in [2usize, 4] {
+            check(600, 4, Distribution::Anticorrelated, shards, 0);
+            check(600, 3, Distribution::Independent, shards, 0b101);
+            check(400, 2, Distribution::Correlated, shards, 0b10);
         }
     }
 
     #[test]
+    fn large_unions_merge_with_hybrid() {
+        let pool = ThreadPool::new(2);
+        let data = generate(Distribution::Anticorrelated, 20_000, 5, 3, &pool);
+        let expect = Algorithm::BSkyTree
+            .run(&data, &pool, &SkylineConfig::default())
+            .indices;
+        let (got, _, stats) = sharded(&data, 4, PartitionerKind::Random, QueryKind::Skyline, 0);
+        assert!(stats.candidates > SFS_MAX_ROWS, "{}", stats.candidates);
+        assert_eq!(got, expect);
+    }
+
+    #[test]
     fn single_shard_passes_through() {
-        check(
-            300,
-            3,
-            Distribution::Independent,
-            1,
-            PartitionerKind::Random,
-            0,
-        );
+        check(300, 3, Distribution::Independent, 1, 0);
+    }
+
+    #[test]
+    fn skyband_merge_matches_naive_across_partitioners() {
+        for band_k in [1u32, 2, 4] {
+            check_band(500, 4, Distribution::Anticorrelated, band_k, 3, 0);
+            check_band(500, 3, Distribution::Independent, band_k, 4, 0b101);
+        }
+        check_band(300, 2, Distribution::Correlated, 3, 2, 0b10);
+    }
+
+    #[test]
+    fn skyband_merge_k1_equals_skyline_merge() {
+        let pool = ThreadPool::new(1);
+        let data = generate(Distribution::Anticorrelated, 400, 3, 7, &pool);
+        let band = QueryKind::Skyband { k: 1 };
+        let (ids, counts, _) = sharded(&data, 3, PartitionerKind::Grid, band, 0);
+        let (sky, _, _) = sharded(&data, 3, PartitionerKind::Grid, QueryKind::Skyline, 0);
+        assert_eq!(ids, sky);
+        assert!(counts.unwrap().iter().all(|&c| c == 0));
     }
 
     #[test]
     fn duplicate_rows_across_shards_all_survive() {
         // Two identical undominated rows in different shards: neither
         // strictly dominates the other, so both are global.
-        let locals = vec![
-            ShardSkyline {
-                shard: 0,
-                ids: vec![0, 2],
-                rows: vec![0.0, 1.0, 1.0, 0.0],
-            },
-            ShardSkyline {
-                shard: 1,
-                ids: vec![5],
-                rows: vec![0.0, 1.0],
-            },
-        ];
-        let (mut got, stats) = merge_local_skylines(2, &locals);
-        got.sort_unstable();
+        let locals = || {
+            vec![
+                Local {
+                    ids: vec![0, 2],
+                    rows: vec![0.0, 1.0, 1.0, 0.0],
+                },
+                Local {
+                    ids: vec![5],
+                    rows: vec![0.0, 1.0],
+                },
+            ]
+        };
+        let pool = ThreadPool::new(2);
+        let (got, _, stats) = merge(QueryKind::Skyline, 2, locals(), &pool);
         assert_eq!(got, vec![0, 2, 5]);
-        assert_eq!(stats.witness_kills, 0);
-        assert!((stats.witness_frac() - 0.0).abs() < 1e-12);
+        assert_eq!(stats.witness_frac(), 0.0);
+        let (got, counts, _) = merge(QueryKind::Skyband { k: 2 }, 2, locals(), &pool);
+        assert_eq!((got, counts), (vec![0, 2, 5], Some(vec![0, 0, 0])));
     }
 
     #[test]
     fn cross_shard_domination_is_applied() {
-        // Shard 1's sole candidate is dominated by shard 0's witness.
-        let locals = vec![
-            ShardSkyline {
-                shard: 0,
-                ids: vec![1],
-                rows: vec![0.0, 0.0],
-            },
-            ShardSkyline {
-                shard: 1,
-                ids: vec![9],
-                rows: vec![1.0, 1.0],
-            },
-        ];
-        let (got, stats) = merge_local_skylines(2, &locals);
+        // Shard 1's sole candidate is dominated by shard 0's.
+        let locals = || {
+            vec![
+                Local {
+                    ids: vec![1],
+                    rows: vec![0.0, 0.0],
+                },
+                Local {
+                    ids: vec![9],
+                    rows: vec![1.0, 1.0],
+                },
+            ]
+        };
+        let pool = ThreadPool::new(2);
+        let (got, _, stats) = merge(QueryKind::Skyline, 2, locals(), &pool);
         assert_eq!(got, vec![1]);
-        assert_eq!(stats.witness_kills, 1, "the witness probe caught it");
-        assert!(stats.witness_frac() > 0.49);
+        assert_eq!((stats.candidates, stats.survivors), (2, 1));
+        let (got, counts, _) = merge(QueryKind::Skyband { k: 2 }, 2, locals(), &pool);
+        assert_eq!((got, counts), (vec![1, 9], Some(vec![0, 1])));
     }
 
     #[test]
     fn empty_input_is_empty() {
-        let (got, stats) = merge_local_skylines(3, &[]);
-        assert!(got.is_empty());
+        let pool = ThreadPool::new(2);
+        let (got, counts, stats) = merge(QueryKind::Skyline, 3, Vec::new(), &pool);
+        assert!(got.is_empty() && counts.is_none());
         assert_eq!(stats, MergeStats::default());
-    }
-
-    /// Reference skyband merge path: shard the data, compute each local
-    /// skyband naively (with local counts), merge, and compare against
-    /// the global naive skyband with exact counts.
-    fn check_band(
-        n: usize,
-        d: usize,
-        dist: Distribution,
-        band_k: u32,
-        shards: usize,
-        kind: PartitionerKind,
-        max_mask: u32,
-    ) {
-        let pool = ThreadPool::new(1);
-        let data = generate(dist, n, d, 1337, &pool);
-        let dims: Vec<usize> = (0..d).collect();
-        let store = ShardedStore::build(&data, shards, kind);
-        let mut locals = Vec::new();
-        for s in 0..store.k() {
-            let mut ids = Vec::new();
-            let mut rows = Vec::new();
-            store.shard(s).for_each_live(|id, row| {
-                ids.push(id);
-                for (j, &v) in row.iter().enumerate() {
-                    rows.push(flip_pref(v, max_mask & (1 << j) != 0));
-                }
-            });
-            // Local skyband by brute force over the folded rows.
-            let mut keep = Vec::new();
-            let mut counts = Vec::new();
-            let mut krows = Vec::new();
-            for a in 0..ids.len() {
-                let pa = &rows[a * d..(a + 1) * d];
-                let mut c = 0u32;
-                for b in 0..ids.len() {
-                    if a == b {
-                        continue;
-                    }
-                    let pb = &rows[b * d..(b + 1) * d];
-                    if pb.iter().zip(pa).all(|(x, y)| x <= y)
-                        && pb.iter().zip(pa).any(|(x, y)| x < y)
-                    {
-                        c += 1;
-                    }
-                }
-                if c < band_k {
-                    keep.push(ids[a]);
-                    counts.push(c);
-                    krows.extend_from_slice(pa);
-                }
-            }
-            locals.push(ShardSkyband {
-                shard: s,
-                ids: keep,
-                counts,
-                rows: krows,
-            });
-        }
-        let (mut got, stats) = merge_local_skybands(d, band_k, &locals);
-        got.sort_unstable();
-        let expect = verify::naive_skyband_on_pref(&data, &dims, max_mask, band_k);
-        assert_eq!(
-            got, expect,
-            "{dist:?} band_k={band_k} shards={shards} {kind:?} mask={max_mask:b}"
-        );
-        assert_eq!(stats.survivors, expect.len());
-        assert!(stats.witnesses <= (d + 1) * store.k());
-    }
-
-    #[test]
-    fn skyband_merge_matches_naive_across_partitioners() {
-        for kind in PartitionerKind::ALL {
-            for band_k in [1u32, 2, 4] {
-                check_band(500, 4, Distribution::Anticorrelated, band_k, 3, kind, 0);
-                check_band(500, 3, Distribution::Independent, band_k, 4, kind, 0b101);
-            }
-        }
-        check_band(
-            300,
-            2,
-            Distribution::Correlated,
-            3,
-            2,
-            PartitionerKind::Random,
-            0b10,
-        );
-    }
-
-    #[test]
-    fn skyband_merge_k1_equals_skyline_merge() {
-        // k = 1 skyband is the skyline with all counts zero.
-        let pool = ThreadPool::new(1);
-        let data = generate(Distribution::Anticorrelated, 400, 3, 7, &pool);
-        let dims: Vec<usize> = (0..3).collect();
-        check_band(
-            400,
-            3,
-            Distribution::Anticorrelated,
-            1,
-            3,
-            PartitionerKind::Grid,
-            0,
-        );
-        let expect = verify::naive_skyband_on_pref(&data, &dims, 0, 1);
-        assert!(expect.iter().all(|&(_, c)| c == 0));
     }
 
     #[test]
     fn skyband_merge_empty_and_k0() {
-        let (got, stats) = merge_local_skybands(3, 2, &[]);
+        let pool = ThreadPool::new(2);
+        let (got, counts, stats) = merge(QueryKind::Skyband { k: 2 }, 3, Vec::new(), &pool);
         assert!(got.is_empty());
+        assert_eq!(counts, Some(Vec::new()));
         assert_eq!(stats, MergeStats::default());
-        let locals = vec![ShardSkyband {
-            shard: 0,
+        let locals = vec![Local {
             ids: vec![1],
-            counts: vec![0],
             rows: vec![0.5, 0.5],
         }];
-        let (got, _) = merge_local_skybands(2, 0, &locals);
+        let (got, counts, stats) = merge(QueryKind::Skyband { k: 0 }, 2, locals, &pool);
         assert!(got.is_empty());
+        assert_eq!(counts, Some(Vec::new()));
+        assert_eq!(stats.candidates, 1);
     }
 }

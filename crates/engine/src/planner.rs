@@ -20,8 +20,9 @@
 //! 5. small inputs → **SFS** (one sort, then a cheap filter pass);
 //! 6. a dataset registered with an attached sharded store, above the
 //!    `sharded_min_n` threshold → **sharded fan-out** (per-shard
-//!    skylines over cache-resident working sets, witness-pruned
-//!    merge), priced from the per-shard live counts;
+//!    skylines over cache-resident working sets, merged by rerunning
+//!    the local operator over their union on the whole pool), priced
+//!    from the per-shard live counts;
 //! 7. one thread → **BSkyTree** (the paper's best sequential
 //!    algorithm);
 //! 8. otherwise **Q-Flow** when the sampled skyline density is low (the
@@ -82,8 +83,9 @@ pub enum Strategy {
     /// Run a skyline algorithm over the (projected) data.
     Algorithm(Algorithm),
     /// Fan per-shard skylines out over the dataset's attached
-    /// [`ShardedStore`](skyline_data::ShardedStore), then merge the
-    /// local skylines with witness-point pruning.
+    /// [`ShardedStore`](skyline_data::ShardedStore), then merge by
+    /// rerunning the same operator over the union of the local
+    /// results.
     Sharded {
         /// Number of shards the store holds.
         k: usize,
@@ -402,10 +404,11 @@ impl Planner {
     /// The full planning entry point:
     /// [`plan_with_prior`](Self::plan_with_prior) plus an optional
     /// cached-subspace
-    /// [`SuperspaceSeed`]. The seed never changes the strategy choice
-    /// — pruning the scan's input is sound under every scanning
-    /// strategy — but scanning plans carry its mask so the executor
+    /// [`SuperspaceSeed`]. The seed never changes the strategy choice,
+    /// but [`Strategy::Algorithm`] plans carry its mask so the executor
     /// pre-filters through the cached result before the full scan.
+    /// Sharded plans carry none: their per-shard scatter reads the
+    /// shards directly, so no pre-filter would run.
     pub fn plan_query(
         &self,
         entry: &DatasetEntry,
@@ -416,10 +419,7 @@ impl Planner {
         seed: Option<SuperspaceSeed>,
     ) -> QueryPlan {
         let mut plan = self.plan_inner(entry, dims, max_mask, threads, prior);
-        if matches!(
-            plan.strategy,
-            Strategy::Algorithm(_) | Strategy::Sharded { .. }
-        ) {
+        if matches!(plan.strategy, Strategy::Algorithm(_)) {
             plan.superspace_seed = seed;
         }
         plan
@@ -435,10 +435,11 @@ impl Planner {
     /// rows that may still carry non-zero counts (no superspace seed).
     ///
     /// - **k-skyband** fans out over an attached sharded store when
-    ///   the input is large enough (per-shard local skybands, counting
-    ///   merge with exact carry-over); otherwise it runs the
-    ///   sum-sorted counting kernel, which is SFS-shaped, so the plan
-    ///   reports [`Algorithm::Sfs`].
+    ///   the input is large enough (per-shard local skybands, merged by
+    ///   rerunning the band kernel over their union); otherwise it runs
+    ///   the block-flow counting kernel on the pool, with α from
+    ///   [`SkylineConfig::tuned`]. It is sum-sorted like SFS, so the
+    ///   plan reports [`Algorithm::Sfs`].
     /// - **top-k dominating** always runs the counting kernel over the
     ///   whole input: dominated-counts add across shards, so a
     ///   local-merge decomposition cannot bound them and sharding is
@@ -486,20 +487,28 @@ impl Planner {
                     config: SkylineConfig::tuned(n / store.k(), 1),
                     effective_dims: effective,
                     sample_skyline_frac: Some(frac),
-                    reason: "sharded store attached: per-shard local skybands, counting merge",
+                    reason: "sharded store attached: per-shard local skybands, band kernel over their union",
                     candidates: Vec::new(),
                     superspace_seed: None,
                 };
             }
         }
-        let reason = match kind {
-            QueryKind::Skyband { .. } => "k-skyband: sum-sorted counting scan",
-            _ => "top-k dominating: counting kernel over the negated input",
+        let (reason, threads, config) = match kind {
+            QueryKind::Skyband { .. } => (
+                "k-skyband: block-flow counting kernel",
+                threads.max(1),
+                SkylineConfig::tuned(n, threads),
+            ),
+            _ => (
+                "top-k dominating: counting kernel over the negated input",
+                1,
+                SkylineConfig::default(),
+            ),
         };
         QueryPlan {
             strategy: Strategy::Algorithm(Algorithm::Sfs),
-            threads: 1,
-            config: SkylineConfig::default(),
+            threads,
+            config,
             effective_dims: effective,
             sample_skyline_frac: Some(frac),
             reason,
@@ -604,8 +613,8 @@ impl Planner {
         }
 
         // 5b. An attached sharded store on a large input: per-shard
-        //     scans over cache-resident working sets, then a
-        //     witness-pruned SIMD merge. Priced from the per-shard
+        //     scans over cache-resident working sets, then the same
+        //     operator over their union. Priced from the per-shard
         //     live counts; the quadratic window term splitting across
         //     shards is what the sheet's "sharded" row models.
         if let Some(store) = entry.sharded() {
@@ -628,7 +637,7 @@ impl Planner {
                     config,
                     effective_dims: effective,
                     sample_skyline_frac: Some(frac),
-                    reason: "sharded store attached: cache-resident per-shard scans, witness-pruned merge",
+                    reason: "sharded store attached: cache-resident per-shard scans, operator rerun over their union",
                     candidates: candidate_costs(n, frac, threads, "sharded", Some(cost)),
                     superspace_seed: None,
                 };
@@ -983,5 +992,30 @@ mod tests {
             None,
         );
         assert_eq!(plan.strategy, Strategy::Delta { from_version: 3 });
+    }
+
+    #[test]
+    fn superspace_seed_rides_only_on_algorithm_plans() {
+        let pool = ThreadPool::new(2);
+        let data = generate(Distribution::Anticorrelated, 20_000, 4, 7, &pool);
+        let seed = SuperspaceSeed {
+            dim_mask: 0b011,
+            len: 10,
+        };
+        let plain = entry_of(data.clone());
+        let plan = Planner::default().plan_query(&plain, &[0, 1, 2], 0, 4, None, Some(seed));
+        assert!(matches!(plan.strategy, Strategy::Algorithm(_)));
+        assert_eq!(plan.superspace_seed, Some(seed));
+
+        // The sharded executor scatters straight from the shards, so a
+        // seed on its plan would show a pre-filter that never runs.
+        let sharded = Catalog::new().register_sharded("s", data, 4, PartitionerKind::Grid, &pool);
+        let planner = Planner::new(PlannerConfig {
+            sharded_min_n: 1_000,
+            ..PlannerConfig::default()
+        });
+        let plan = planner.plan_query(&sharded, &[0, 1, 2], 0, 4, None, Some(seed));
+        assert!(matches!(plan.strategy, Strategy::Sharded { .. }));
+        assert_eq!(plan.superspace_seed, None);
     }
 }

@@ -148,8 +148,8 @@ pub enum PlanKind {
     MinScan,
     /// Delta maintenance over a prior cached result.
     Delta,
-    /// Per-shard fan-out over an attached sharded store, merged with
-    /// witness pruning.
+    /// Per-shard fan-out over an attached sharded store, merged by
+    /// rerunning the operator over the union of the local results.
     Sharded,
     /// A full algorithm run.
     Algo(Algorithm),

@@ -631,7 +631,8 @@ pub enum SpanKind {
     /// carries one such span **per shard**, distinguished by
     /// [`TraceSpan::shard`]).
     ShardLocal,
-    /// Sharded plans: witness-pruned merge of the local skylines.
+    /// Sharded plans: the merge, the local operator rerun over the
+    /// union of the local results on the whole pool.
     ShardMerge,
     /// Non-algorithmic execution (trivial and min-scan plans).
     Execute,

@@ -1,7 +1,7 @@
 //! Engine-level tests of the sharded execution tier: the planner must
 //! route large queries on shard-registered datasets through
-//! `Strategy::Sharded`, the per-shard scans plus witness-pruned merge
-//! must agree with brute force across partitioners and preferences,
+//! `Strategy::Sharded`, the per-shard scans plus the merge over their
+//! union must agree with brute force across partitioners and preferences,
 //! traces must carry per-shard spans, and the adaptive (debt-driven)
 //! per-shard compaction must fire from observed tombstone-scan cost.
 
