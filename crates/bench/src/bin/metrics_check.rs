@@ -18,7 +18,7 @@
 //! The checker also validates the sharding phase's A/B exposition:
 //!
 //! ```text
-//! SHARD k=<int> partitioner=<family> ... local_p50_us=<int> merge_us=<int> witness_frac=<f in [0,1]> ...
+//! SHARD k=<int> partitioner=<family> ... local_p50_us=<int> merge_us=<int> ...
 //! ```
 //!
 //! and requires at least one SHARD line whenever the stream carries a
@@ -61,7 +61,6 @@ const REQUIRED: &[&str] = &[
     "cache.patches",
     "cache.bytes",
     "dominance.tests",
-    "feedback.refits",
 ];
 
 /// Parses one sample body (`name[{labels}] value`), returning the
@@ -148,13 +147,6 @@ fn check_shard_line(body: &str) -> Result<(), String> {
         return Err(format!(
             "field `partitioner={partitioner}` is not a known family"
         ));
-    }
-    let frac = get("witness_frac")?;
-    let frac: f64 = frac
-        .parse()
-        .map_err(|_| format!("field `witness_frac={frac}` is not a number"))?;
-    if !(0.0..=1.0).contains(&frac) {
-        return Err(format!("field `witness_frac={frac}` is outside [0, 1]"));
     }
     Ok(())
 }

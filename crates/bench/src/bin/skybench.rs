@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! skybench <experiment> [--scale laptop|paper] [--threads N]
-//!                       [--update-frac F] [--feedback]
+//!                       [--update-frac F]
 //!                       [--tenants N] [--qps-cap Q]
 //!                       [--shards K] [--partitioner P] [--metrics]
 //!                       [--kind OP] [--k K]
@@ -16,10 +16,6 @@
 //! --update-frac F   mutation share of the `engine` experiment's mixed
 //!                   read/write phase (0..=1, default 0.3; capped at
 //!                   0.9 so each round still issues the query batch)
-//! --feedback        append the `engine` experiment's adaptive-planning
-//!                   phase: run the workload cold across several epochs
-//!                   with the planner feedback loop enabled and report
-//!                   plan-choice drift and before/after latency
 //! --tenants N       append the `engine` experiment's admission phase:
 //!                   1 high-priority tenant races N-1 low-priority
 //!                   flooders through the session front door; per class
@@ -33,9 +29,7 @@
 //!                   anticorrelated dataset, sweeping K ∈ {4, 8} plus
 //!                   the given K; one machine-readable SHARD line per
 //!                   shard count reports per-shard local p50, merge
-//!                   time, witness_frac (always 0: the merge reruns
-//!                   the local operator over the union), and speedup
-//!                   (needs K >= 2)
+//!                   time, candidates, and speedup (needs K >= 2)
 //! --partitioner P   partitioning family of the sharded-tier phase:
 //!                   random | grid | angular (default random)
 //! --kind OP         append the `engine` experiment's query-family
@@ -76,7 +70,7 @@ use skyline_bench::Scale;
 fn usage() -> ! {
     eprintln!(
         "usage: skybench <experiment> [--scale laptop|paper] [--threads N] [--update-frac F] \
-         [--feedback] [--tenants N] [--qps-cap Q] [--shards K] [--partitioner P] [--metrics] \
+         [--tenants N] [--qps-cap Q] [--shards K] [--partitioner P] [--metrics] \
          [--kind skyline|skyband|top_k_dominating] [--k K] \
          [--duration SECS] [--connections N] [--persist DIR] [--crash-after K]\n\
          experiments: {}",
@@ -94,7 +88,6 @@ fn main() {
     let mut scale = Scale::Laptop;
     let mut threads = skyline_parallel::available_threads();
     let mut update_frac = 0.3f64;
-    let mut feedback = false;
     let mut tenants = 0usize;
     let mut qps_cap = 256u32;
     let mut shards = 0usize;
@@ -110,9 +103,6 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--feedback" => {
-                feedback = true;
-            }
             "--metrics" => {
                 metrics = true;
             }
@@ -236,7 +226,6 @@ fn main() {
     );
     let mut ctx = ExpCtx::new(scale, threads);
     ctx.update_frac = update_frac;
-    ctx.feedback = feedback;
     ctx.tenants = tenants;
     ctx.qps_cap = qps_cap;
     ctx.shards = shards;

@@ -5,11 +5,6 @@
 //! measuring how the cache survives point inserts and deletes
 //! (eager patching and query-time delta plans versus recomputation).
 //!
-//! With `--feedback`, a final phase runs the workload on a
-//! feedback-enabled engine across several cold epochs and reports
-//! **plan-choice drift** (which queries the re-fitted thresholds
-//! re-routed) and before/after latency.
-//!
 //! With `--tenants N`, an **admission-control phase** drives the
 //! session front door: one high-priority tenant issues closed-loop
 //! queries while `N − 1` low-priority tenants (each capped at
@@ -31,8 +26,8 @@ use std::time::{Duration, Instant};
 
 use skyline_data::{generate, Distribution, Preference};
 use skyline_engine::{
-    Engine, EngineConfig, EngineError, FeedbackConfig, PartitionerKind, Priority, QueryKind,
-    SessionOptions, SkylineQuery, Strategy, TelemetryConfig,
+    Engine, EngineConfig, EngineError, PartitionerKind, Priority, QueryKind, SessionOptions,
+    SkylineQuery, Strategy, TelemetryConfig,
 };
 use skyline_parallel::ThreadPool;
 
@@ -97,8 +92,7 @@ fn emit_metrics(engine: &Engine, phase: &str) {
 
 /// Runs the engine workload at `scale` on `threads` lanes, with
 /// `update_frac` of the mixed phase's operations being mutations;
-/// `feedback` appends the adaptive-planning phase, `tenants >= 2`
-/// the multi-tenant admission-control phase (flooders capped at
+/// `tenants >= 2` appends the multi-tenant admission-control phase (flooders capped at
 /// `qps_cap` submissions/s), and `shards >= 2` the sharded-tier phase
 /// (a cold single-store vs sharded A/B over an anticorrelated dataset,
 /// emitting machine-readable `SHARD` lines; `partitioner` selects the
@@ -111,7 +105,6 @@ pub fn run(
     scale: Scale,
     threads: usize,
     update_frac: f64,
-    feedback: bool,
     tenants: usize,
     qps_cap: u32,
     shards: usize,
@@ -338,9 +331,6 @@ pub fn run(
         );
     }
 
-    if feedback {
-        feedback_phase(scale, threads, n, d, &gen_pool, metrics);
-    }
     if tenants >= 2 {
         admission_phase(scale, threads, n, d, &gen_pool, tenants, qps_cap, metrics);
     }
@@ -485,8 +475,8 @@ fn family_phase(
 ///
 /// ```text
 /// SHARD k=<k> partitioner=<name> n=<n> d=<d> local_p50_us=<..>
-///       merge_us=<..> witness_frac=<..> candidates=<..> survivors=<..>
-///       sharded_us=<..> single_us=<..> single_plan=<..> speedup=<..>
+///       merge_us=<..> candidates=<..> survivors=<..> sharded_us=<..>
+///       single_us=<..> single_plan=<..> speedup=<..>
 /// ```
 ///
 /// `speedup > 1` means the sharded plan beat the single-store plan
@@ -545,7 +535,6 @@ fn sharding_phase(
         "local p50",
         "slowest shard",
         "merge",
-        "witness frac",
         "candidates",
         "cold total",
         "speedup",
@@ -594,11 +583,10 @@ fn sharding_phase(
         let speedup = single_us as f64 / (sharded_us as f64).max(1.0);
         println!(
             "SHARD k={k} partitioner={} n={n} d={d} local_p50_us={} merge_us={merge_us} \
-             witness_frac={:.4} candidates={} survivors={} sharded_us={sharded_us} \
-             single_us={single_us} single_plan={single_plan} speedup={speedup:.3}",
+             candidates={} survivors={} sharded_us={sharded_us} single_us={single_us} \
+             single_plan={single_plan} speedup={speedup:.3}",
             partitioner.name(),
             local_p50.as_micros(),
-            merge.witness_frac(),
             merge.candidates,
             merge.survivors,
         );
@@ -607,7 +595,6 @@ fn sharding_phase(
             fmt_secs(local_p50),
             fmt_secs(local_max),
             fmt_secs(Duration::from_micros(merge_us as u64)),
-            format!("{:.4}", merge.witness_frac()),
             merge.candidates.to_string(),
             fmt_secs(Duration::from_micros(sharded_us as u64)),
             format!("{speedup:.3}×"),
@@ -793,135 +780,4 @@ fn admission_phase(
         emit_metrics(&engine, "admission");
     }
     engine.shutdown();
-}
-
-/// The adaptive-planning phase: a feedback-enabled engine replans the
-/// same workload cold across several epochs (each epoch re-registers
-/// the datasets, so every query is planned and computed afresh) while
-/// the loop re-fits the thresholds from what it measured. Reports per-
-/// query plan drift between the first and last epoch, the latency
-/// movement, and the fitted thresholds.
-fn feedback_phase(
-    scale: Scale,
-    threads: usize,
-    n: usize,
-    d: usize,
-    gen_pool: &ThreadPool,
-    metrics: bool,
-) {
-    let engine = Engine::with_config(EngineConfig {
-        threads,
-        feedback: FeedbackConfig {
-            enabled: true,
-            refit_interval: Duration::from_millis(100),
-            min_observations: 4,
-            hysteresis: 0.15,
-            explore_every: 4,
-        },
-        ..EngineConfig::default()
-    });
-    let epochs: usize = match scale {
-        Scale::Smoke => 3,
-        Scale::Laptop => 6,
-        Scale::Paper => 10,
-    };
-    println!(
-        "\n## feedback phase — online cost-model refit ({epochs} cold epochs, refit every 100 ms)\n"
-    );
-    let before_cfg = (*engine.planner_config()).clone();
-    let labels = ["corr", "indep", "anti"];
-    let dists = [
-        Distribution::Correlated,
-        Distribution::Independent,
-        Distribution::Anticorrelated,
-    ];
-    let names: Vec<String> = labels.iter().map(|s| s.to_string()).collect();
-    let queries = workload(&names, d);
-
-    let mut epoch_plans: Vec<Vec<String>> = Vec::new();
-    let mut epoch_times: Vec<Duration> = Vec::new();
-    for _ in 0..epochs {
-        // Fresh registration: new version, cold cache, full replanning
-        // under whatever thresholds are live right now.
-        for (name, dist) in labels.iter().zip(dists) {
-            engine.register(name, generate(dist, n, d, 42, gen_pool));
-        }
-        let started = Instant::now();
-        let results = engine.execute_batch(&queries);
-        epoch_times.push(started.elapsed());
-        epoch_plans.push(
-            results
-                .iter()
-                .map(|r| strategy_label(&r.as_ref().expect("valid workload").plan.strategy))
-                .collect(),
-        );
-        // Guarantee at least one fit per epoch even when an epoch runs
-        // faster than the refit interval (smoke scale).
-        engine.refit_feedback();
-    }
-
-    let (first_plans, last_plans) = (&epoch_plans[0], &epoch_plans[epochs - 1]);
-    let header: Vec<String> = ["query", "epoch 1 plan", "final plan", "drift"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let mut rows = Vec::new();
-    let mut drifted = 0usize;
-    for ((q, before), after) in queries.iter().zip(first_plans).zip(last_plans) {
-        let dims = match q.selected_dims() {
-            Some(dims) => format!("{dims:?}"),
-            None => "full".to_string(),
-        };
-        let drift = if before == after {
-            "-".to_string()
-        } else {
-            drifted += 1;
-            "→".to_string()
-        };
-        rows.push(vec![
-            format!("{} {}", q.dataset(), dims),
-            before.clone(),
-            after.clone(),
-            drift,
-        ]);
-    }
-    print_table(
-        "plan-choice drift (first vs final cold epoch)",
-        &header,
-        &rows,
-    );
-    println!(
-        "\n{drifted}/{} queries re-routed by the fitted thresholds",
-        queries.len()
-    );
-    println!(
-        "cold-epoch latency: {} before → {} after refits",
-        fmt_secs(epoch_times[0]),
-        fmt_secs(epoch_times[epochs - 1])
-    );
-
-    let stats = engine.feedback_stats();
-    println!(
-        "feedback: {} observations into {} buckets, {} refits, {} installs",
-        stats.observations, stats.buckets, stats.refits, stats.installs
-    );
-    let after_cfg = engine.planner_config();
-    println!(
-        "thresholds: tiny_n {} → {}, small_n {} → {}, dense_frac {:.3} → {:.3}, delta_cap {} → {}, α(Q-Flow) {:?} → {:?}, α(Hybrid) {:?} → {:?}",
-        before_cfg.tiny_n,
-        after_cfg.tiny_n,
-        before_cfg.small_n,
-        after_cfg.small_n,
-        before_cfg.dense_frac,
-        after_cfg.dense_frac,
-        before_cfg.delta_cap,
-        after_cfg.delta_cap,
-        before_cfg.alpha_qflow,
-        after_cfg.alpha_qflow,
-        before_cfg.alpha_hybrid,
-        after_cfg.alpha_hybrid,
-    );
-    if metrics {
-        emit_metrics(&engine, "feedback");
-    }
 }

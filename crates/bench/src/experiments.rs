@@ -27,9 +27,6 @@ pub struct ExpCtx {
     /// Fraction of the `engine` experiment's mixed phase that mutates
     /// (inserts/deletes) rather than queries.
     pub update_frac: f64,
-    /// Whether the `engine` experiment appends the adaptive-planning
-    /// feedback phase (plan drift + before/after latency).
-    pub feedback: bool,
     /// Tenants of the `engine` experiment's admission-control phase
     /// (1 high-priority + the rest low-priority flooders); below 2 the
     /// phase is skipped.
@@ -74,7 +71,6 @@ impl ExpCtx {
             scale,
             threads: threads.max(1),
             update_frac: 0.3,
-            feedback: false,
             tenants: 0,
             qps_cap: 256,
             shards: 0,
@@ -124,7 +120,6 @@ impl ExpCtx {
                     self.scale,
                     self.threads,
                     self.update_frac,
-                    self.feedback,
                     self.tenants,
                     self.qps_cap,
                     self.shards,

@@ -5,7 +5,7 @@
 //! checksummed records ([`wal`]), how to publish and verify a
 //! tile-aligned dataset image ([`snapshot`]), and how to talk to a
 //! disk that may lie ([`io`]). What the record payloads *mean* —
-//! mutations, planner fits, replay idempotence — lives in
+//! mutations, registrations, replay idempotence — lives in
 //! `skyline_engine::recovery`, which drives everything here through
 //! the [`WalIo`] trait so the same code path runs against the real
 //! filesystem, an in-memory store, and a deterministic fault
@@ -15,7 +15,6 @@
 //!
 //! ```text
 //! root/
-//! ├── feedback.wal                  # planner-fit records (advisory)
 //! └── datasets/
 //!     └── <escaped-name>/
 //!         ├── snapshot.sky          # see `snapshot` for the format

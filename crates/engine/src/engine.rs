@@ -19,10 +19,9 @@ use crate::catalog::{Catalog, DatasetEntry, MutationOutcome};
 use crate::clock::{Clock, MonotonicClock};
 use crate::error::EngineError;
 use crate::merge::{merge, operator, Local, MergeStats};
-use crate::planner::feedback::{
-    FeedbackConfig, FeedbackLoop, FeedbackStats, Observation, PlanKind,
+use crate::planner::{
+    PlanKind, Planner, PlannerConfig, PriorResult, QueryPlan, Strategy, SuperspaceSeed,
 };
-use crate::planner::{Planner, PlannerConfig, PriorResult, QueryPlan, Strategy, SuperspaceSeed};
 use crate::query::{QueryKind, QueryResult, SkylineQuery};
 use crate::recovery::{Durability, DurabilityOptions, RecoveryReport};
 use crate::session::{
@@ -54,13 +53,11 @@ pub struct EngineConfig {
     /// threshold. `None` leaves shards on
     /// [`compact_fraction`](Self::compact_fraction) alone.
     pub shard_debt_factor: Option<f32>,
-    /// Planner thresholds — the *starting point*; with feedback
-    /// enabled they are re-fitted online from observed runtimes.
+    /// Planner thresholds: the cardinality tiers, the density split
+    /// between Q-Flow and Hybrid, the delta-patch ceiling and the
+    /// sharded cut-over. Fixed for the engine's lifetime — a durable
+    /// engine reopens with whatever config the caller passes here.
     pub planner: PlannerConfig,
-    /// The planner feedback loop: whether completed queries are
-    /// recorded and the planner thresholds re-fitted from them, and at
-    /// what cadence. Disabled by default.
-    pub feedback: FeedbackConfig,
     /// The session layer's admission queue: per-class capacity, batch
     /// size per dispatch pass, and whether a background dispatcher
     /// thread runs.
@@ -79,7 +76,6 @@ impl Default for EngineConfig {
             compact_fraction: 0.25,
             shard_debt_factor: Some(4.0),
             planner: PlannerConfig::default(),
-            feedback: FeedbackConfig::default(),
             admission: AdmissionConfig::default(),
             telemetry: TelemetryConfig::default(),
         }
@@ -176,21 +172,17 @@ pub(crate) struct EngineShared {
     pub(crate) planner: Planner,
     pub(crate) compact_fraction: f32,
     pub(crate) shard_debt_factor: Option<f32>,
-    /// Present iff [`FeedbackConfig::enabled`]: records completed
-    /// queries and periodically re-fits the planner's thresholds.
-    pub(crate) feedback: Option<Arc<FeedbackLoop>>,
     /// The engine's time source: drives deadline expiry, quota windows,
-    /// and the feedback loop's measurements. A
-    /// [`ManualClock`](crate::ManualClock) makes all three
+    /// queue-wait timing and trace spans. A
+    /// [`ManualClock`](crate::ManualClock) makes all of them
     /// deterministic under test.
     pub(crate) clock: Arc<dyn Clock>,
     /// Present iff [`TelemetryConfig::enabled`]: the metrics registry,
     /// trace machinery, and slow-query ring.
     pub(crate) telemetry: Option<Arc<Telemetry>>,
-    /// The per-class `session.queue_wait` histograms — the single
-    /// source of queue-wait truth, shared with the feedback loop and
-    /// (when enabled) exposed through the registry. Always present:
-    /// three lock-free histograms cost nothing measurable.
+    /// The per-class `session.queue_wait` histograms, exposed through
+    /// the registry when telemetry is enabled. Always recorded: three
+    /// lock-free histograms cost nothing measurable.
     pub(crate) queue_waits: Arc<QueueWaitHistograms>,
     /// Set once by [`Engine::open_durable`] **after** recovery replay
     /// completes: while unset, registrations and mutations skip the
@@ -240,9 +232,9 @@ impl Engine {
     }
 
     /// An engine with explicit configuration and time source. The
-    /// clock drives the feedback loop's runtime measurements and refit
-    /// cadence; hand in a [`ManualClock`](crate::ManualClock) to test
-    /// adaptive behaviour deterministically.
+    /// clock drives deadlines, quota windows, queue-wait timing and
+    /// trace spans; hand in a [`ManualClock`](crate::ManualClock) to
+    /// test them deterministically.
     pub fn with_clock(cfg: EngineConfig, clock: Arc<dyn Clock>) -> Self {
         let threads = if cfg.threads == 0 {
             available_threads()
@@ -262,9 +254,9 @@ impl Engine {
     /// recovers every dataset from its snapshot + write-ahead log,
     /// truncates torn WAL tails, quarantines datasets with real
     /// corruption (the engine still boots and serves the healthy
-    /// ones), warms the planner from the last persisted feedback fit,
-    /// and from then on makes every registration and mutation durable
-    /// before acknowledging it. The report says what recovery found.
+    /// ones), and from then on makes every registration and mutation
+    /// durable before acknowledging it. The report says what recovery
+    /// found.
     ///
     /// See [`crate::recovery`] for the durability contract and the
     /// corruption taxonomy.
@@ -302,13 +294,6 @@ impl Engine {
 
     fn build(cfg: EngineConfig, pool: Arc<ThreadPool>, clock: Arc<dyn Clock>) -> Self {
         let queue_waits = Arc::new(QueueWaitHistograms::new());
-        let feedback = cfg.feedback.enabled.then(|| {
-            Arc::new(FeedbackLoop::with_waits(
-                cfg.feedback,
-                Arc::clone(&clock),
-                Arc::clone(&queue_waits),
-            ))
-        });
         let telemetry = cfg
             .telemetry
             .enabled
@@ -320,7 +305,6 @@ impl Engine {
             planner: Planner::new(cfg.planner),
             compact_fraction: cfg.compact_fraction,
             shard_debt_factor: cfg.shard_debt_factor,
-            feedback,
             clock,
             telemetry,
             queue_waits,
@@ -666,46 +650,15 @@ impl Engine {
         self.shared.cache.stats()
     }
 
-    /// The feedback loop, when enabled. Tests and tooling use it to
-    /// inject synthetic observations and inspect the aggregates.
-    pub fn feedback(&self) -> Option<&Arc<FeedbackLoop>> {
-        self.shared.feedback.as_ref()
-    }
-
-    /// Feedback activity counters; all zero when feedback is disabled.
-    pub fn feedback_stats(&self) -> FeedbackStats {
-        self.shared
-            .feedback
-            .as_ref()
-            .map(|fb| fb.stats())
-            .unwrap_or_default()
-    }
-
-    /// Forces a feedback refit right now, ignoring the cadence.
-    /// Returns whether the planner's live thresholds changed; always
-    /// `false` when feedback is disabled.
-    pub fn refit_feedback(&self) -> bool {
-        let changed = self
-            .shared
-            .feedback
-            .as_ref()
-            .is_some_and(|fb| fb.refit_now(&self.shared.planner));
-        if changed {
-            self.shared.persist_planner_fit();
-        }
-        changed
-    }
-
-    /// A consistent snapshot of the planner's live thresholds (the
-    /// fitted config once feedback has installed one).
-    pub fn planner_config(&self) -> Arc<PlannerConfig> {
+    /// The planner's thresholds: exactly the
+    /// [`EngineConfig::planner`] the engine was built with.
+    pub fn planner_config(&self) -> &PlannerConfig {
         self.shared.planner.config()
     }
 
     /// A merged snapshot of every telemetry instrument — query latency,
     /// per-class queue waits, per-algorithm dominance-test counters,
-    /// session activity — plus the derived `cache.*` and `feedback.*`
-    /// families. Empty when telemetry is disabled;
+    /// session activity — plus the derived `cache.*` family. Empty when telemetry is disabled;
     /// [`MetricsSnapshot::render`] turns it into the text exposition.
     pub fn metrics(&self) -> MetricsSnapshot {
         let Some(tel) = &self.shared.telemetry else {
@@ -722,11 +675,6 @@ impl Engine {
         snap.push_gauge("cache.entries", &[], c.entries as f64);
         snap.push_gauge("cache.bytes", &[], c.bytes as f64);
         snap.push_gauge("cache.budget_bytes", &[], c.budget_bytes as f64);
-        let f = self.feedback_stats();
-        snap.push_counter("feedback.observations", &[], f.observations);
-        snap.push_counter("feedback.refits", &[], f.refits);
-        snap.push_counter("feedback.installs", &[], f.installs);
-        snap.push_counter("feedback.explorations", &[], f.explorations);
         snap.samples
             .sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
         snap
@@ -912,33 +860,6 @@ impl EngineShared {
         (patched, 0)
     }
 
-    /// Feeds one completed query into the feedback loop and gives the
-    /// refitter its time-gated chance to run.
-    fn observe(&self, obs: Observation) {
-        if let Some(fb) = &self.feedback {
-            fb.record(obs);
-            self.refit_tick(fb);
-        }
-    }
-
-    /// Gives the refitter its time-gated chance to run, persisting the
-    /// freshly installed thresholds when it changes them (so a durable
-    /// engine restarts with a warm planner).
-    fn refit_tick(&self, fb: &FeedbackLoop) {
-        if fb.maybe_refit(&self.planner) {
-            self.persist_planner_fit();
-        }
-    }
-
-    /// Best-effort append of the planner's current thresholds to the
-    /// durable feedback log; a no-op on non-durable engines. Never in
-    /// a mutation's acknowledgement path.
-    pub(crate) fn persist_planner_fit(&self) {
-        if let Some(d) = self.durability.get() {
-            d.log_planner_fit(&self.planner.config());
-        }
-    }
-
     /// Executes one dispatch batch of admitted tickets against the
     /// shared pool — the batch core behind both
     /// [`Engine::execute_batch`] and the session dispatcher.
@@ -979,13 +900,7 @@ impl EngineShared {
             let trace = self.begin_trace(&ticket, wait);
             if let Some(full) = self.cache.get_uncounted(&ticket.prepared.key) {
                 let hit_started = self.clock.now();
-                let hit = self.hit_result(
-                    &ticket.prepared,
-                    full,
-                    Instant::now(),
-                    self.clock_now(),
-                    wait,
-                );
+                let hit = self.hit_result(&ticket.prepared, full, Instant::now());
                 if let Some(tr) = &trace {
                     tr.add_span(
                         SpanKind::CacheHit,
@@ -998,13 +913,7 @@ impl EngineShared {
                 self.complete_ticket(runtime, &ticket, Ok(hit), wait, sealed);
                 continue;
             }
-            if let Some(hit) = self.try_ancestor(
-                &ticket.prepared,
-                Instant::now(),
-                self.clock_now(),
-                wait,
-                trace.as_ref(),
-            ) {
+            if let Some(hit) = self.try_ancestor(&ticket.prepared, Instant::now(), trace.as_ref()) {
                 let sealed = self.seal_trace(trace, &ticket, &hit, wait);
                 self.complete_ticket(runtime, &ticket, Ok(hit), wait, sealed);
                 continue;
@@ -1149,17 +1058,10 @@ impl EngineShared {
             self.complete_ticket(runtime, ticket, outcome, queue_wait, None);
             return;
         }
-        let clock_started = self.clock_now();
         let outcome = match self.cache.get_uncounted(&ticket.prepared.key) {
             Some(full) => {
                 let hit_started = self.clock.now();
-                let hit = self.hit_result(
-                    &ticket.prepared,
-                    full,
-                    Instant::now(),
-                    clock_started,
-                    queue_wait,
-                );
+                let hit = self.hit_result(&ticket.prepared, full, Instant::now());
                 if let Some(tr) = &trace {
                     tr.add_span(
                         SpanKind::CacheHit,
@@ -1170,15 +1072,9 @@ impl EngineShared {
                 }
                 hit
             }
-            None => match self.try_ancestor(
-                &ticket.prepared,
-                Instant::now(),
-                clock_started,
-                queue_wait,
-                trace.as_ref(),
-            ) {
+            None => match self.try_ancestor(&ticket.prepared, Instant::now(), trace.as_ref()) {
                 Some(hit) => hit,
-                None => self.run_plan(&ticket.prepared, plan, pool, queue_wait, trace.as_ref()),
+                None => self.run_plan(&ticket.prepared, plan, pool, trace.as_ref()),
             },
         };
         let sealed = self.seal_trace(trace, ticket, &outcome, queue_wait);
@@ -1261,50 +1157,15 @@ impl EngineShared {
         )
     }
 
-    /// A reading of the feedback clock, when feedback is enabled —
-    /// taken at the start of a path whose runtime will be observed.
-    pub(crate) fn clock_now(&self) -> Option<Duration> {
-        self.feedback.as_ref().map(|fb| fb.clock().now())
-    }
-
     /// Counted cache probe; on a hit builds the full result without
     /// planning.
-    pub(crate) fn probe(
-        &self,
-        prepared: &Prepared,
-        started: Instant,
-        clock_started: Option<Duration>,
-    ) -> Option<QueryResult> {
+    pub(crate) fn probe(&self, prepared: &Prepared, started: Instant) -> Option<QueryResult> {
         let value = self.cache.get(&prepared.key)?;
-        Some(self.hit_result(prepared, value, started, clock_started, Duration::ZERO))
+        Some(self.hit_result(prepared, value, started))
     }
 
     /// Wraps a cached value as a hit result.
-    fn hit_result(
-        &self,
-        prepared: &Prepared,
-        value: CachedValue,
-        started: Instant,
-        clock_started: Option<Duration>,
-        queue_wait: Duration,
-    ) -> QueryResult {
-        // Hits are observed too (the feedback report shows how much of
-        // the workload never reaches an algorithm). Like run_plan, the
-        // observed runtime comes off the engine's clock — never
-        // `Instant` — so `ManualClock` tests stay deterministic;
-        // `Cached` buckets never participate in threshold fits.
-        if let (Some(fb), Some(t0)) = (&self.feedback, clock_started) {
-            self.observe(Observation {
-                kind: PlanKind::Cached,
-                n: prepared.entry.live_len(),
-                d: prepared.dims.len(),
-                max_mask: prepared.max_mask,
-                sample_skyline_frac: None,
-                alpha: None,
-                runtime: fb.clock().now().saturating_sub(t0),
-                queue_wait,
-            });
-        }
+    fn hit_result(&self, prepared: &Prepared, value: CachedValue, started: Instant) -> QueryResult {
         QueryResult {
             full: value.ids,
             counts: value.counts,
@@ -1331,8 +1192,6 @@ impl EngineShared {
         &self,
         prepared: &Prepared,
         started: Instant,
-        clock_started: Option<Duration>,
-        queue_wait: Duration,
         trace: Option<&Arc<ActiveTrace>>,
     ) -> Option<QueryResult> {
         let kind = prepared.key.kind;
@@ -1385,7 +1244,7 @@ impl EngineShared {
                 0,
             );
         }
-        let mut hit = self.hit_result(prepared, value, started, clock_started, queue_wait);
+        let mut hit = self.hit_result(prepared, value, started);
         hit.plan.reason = reason;
         Some(hit)
     }
@@ -1425,24 +1284,15 @@ impl EngineShared {
 
     /// Runs an already-made plan on `pool` (the shared pool, or a
     /// lane-local single-threaded pool inside a dispatch batch) and
-    /// fills the cache with the result. `queue_wait` is the time the
-    /// ticket spent in the admission queue — recorded on the feedback
-    /// observation *separately* from the compute runtime, so threshold
-    /// fits are never polluted by queueing delay.
+    /// fills the cache with the result.
     fn run_plan(
         &self,
         prepared: &Prepared,
         mut plan: QueryPlan,
         pool: &ThreadPool,
-        queue_wait: Duration,
         trace: Option<&Arc<ActiveTrace>>,
     ) -> QueryResult {
         let started = Instant::now();
-        // Runtime observed for the feedback loop is measured on the
-        // engine's clock (not `Instant`), so a `ManualClock` makes the
-        // recorded runtimes — and therefore every refit decision —
-        // fully deterministic in tests.
-        let clock_started = self.feedback.as_ref().map(|fb| fb.clock().now());
         if let Some(tr) = trace {
             // Give the algorithm a query-scoped dominance tally and the
             // span sink, and re-base the trace's phase mark so the
@@ -1489,7 +1339,7 @@ impl EngineShared {
                     let plan =
                         self.planner
                             .plan(entry, &prepared.dims, prepared.max_mask, pool.threads());
-                    return self.run_plan(prepared, plan, pool, queue_wait, trace);
+                    return self.run_plan(prepared, plan, pool, trace);
                 }
             },
             Strategy::Sharded { .. } => {
@@ -1607,19 +1457,6 @@ impl EngineShared {
             };
             if let Some(kind) = kind {
                 tr.add_span(kind, t0, self.clock.now().saturating_sub(t0), 0);
-            }
-        }
-
-        // Feedback observations fit the planner's *skyline* thresholds;
-        // counting-kind runtimes would pollute those buckets.
-        if kind.is_skyline() {
-            if let (Some(fb), Some(t0)) = (&self.feedback, clock_started) {
-                let runtime = fb.clock().now().saturating_sub(t0);
-                let obs =
-                    Observation::from_plan(&plan, entry.live_len(), prepared.max_mask, runtime)
-                        .queued(queue_wait);
-                fb.record(obs);
-                self.refit_tick(fb);
             }
         }
 

@@ -15,10 +15,9 @@
 //!   sequential BNL/SFS/BSkyTree, or parallel Q-Flow/Hybrid with tuned
 //!   α) from cardinality, subspace dimensionality, thread budget, a
 //!   sampled skyline density, and the dataset's mutation delta log —
-//!   its thresholds start at the paper's constants and, with the
-//!   [`planner::feedback`] loop enabled, are **re-fitted online** from
-//!   observed runtimes and swapped in atomically (the [`Clock`] seam
-//!   makes every refit decision deterministic under test);
+//!   its thresholds are the caller's [`PlannerConfig`] (defaults from
+//!   the paper's evaluation) and its block sizes α come from
+//!   [`SkylineConfig::tuned`](skyline_core::SkylineConfig::tuned);
 //! * [`SkylineQuery`] — subspace selection (`dims`), per-dimension
 //!   `Min`/`Max` preferences, and result limits, so one registered
 //!   dataset serves many projections;
@@ -118,9 +117,9 @@ pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use engine::{Engine, EngineConfig, MutationReport};
 pub use error::{EngineError, QuotaKind, RejectReason};
 pub use merge::MergeStats;
-pub use planner::feedback::{FeedbackConfig, FeedbackLoop, FeedbackStats, Observation, PlanKind};
 pub use planner::{
-    PlanCandidate, Planner, PlannerConfig, PriorResult, QueryPlan, Strategy, SuperspaceSeed,
+    PlanCandidate, PlanKind, Planner, PlannerConfig, PriorResult, QueryPlan, Strategy,
+    SuperspaceSeed,
 };
 pub use query::{QueryKind, QueryOptions, QueryResult, SkylineQuery};
 pub use recovery::{DurabilityOptions, RecoveryReport};

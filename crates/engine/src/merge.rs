@@ -53,18 +53,6 @@ pub struct MergeStats {
     pub dominance_tests: u64,
 }
 
-impl MergeStats {
-    /// Fraction of candidates a witness probe killed: 0, since the
-    /// merge has no witness probe (kept for existing readers).
-    pub fn witness_frac(&self) -> f64 {
-        if self.candidates == 0 {
-            0.0
-        } else {
-            self.witness_kills as f64 / self.candidates as f64
-        }
-    }
-}
-
 /// An operator's answer over folded rows.
 #[derive(Debug, Default)]
 pub(crate) struct Answer {
@@ -303,7 +291,7 @@ mod tests {
         let pool = ThreadPool::new(2);
         let (got, _, stats) = merge(QueryKind::Skyline, 2, locals(), &pool);
         assert_eq!(got, vec![0, 2, 5]);
-        assert_eq!(stats.witness_frac(), 0.0);
+        assert_eq!(stats.witness_kills, 0);
         let (got, counts, _) = merge(QueryKind::Skyband { k: 2 }, 2, locals(), &pool);
         assert_eq!((got, counts), (vec![0, 2, 5], Some(vec![0, 0, 0])));
     }

@@ -30,28 +30,22 @@
 //!    overhead saved) and **Hybrid** when it is high or the subspace is
 //!    high-dimensional (point-based partitioning and the two-level
 //!    `M(S)` structure pay for themselves), with α tuned to `n` and the
-//!    thread count via [`SkylineConfig::tuned`] unless the live
-//!    [`PlannerConfig`] carries fitted overrides.
+//!    thread count via [`SkylineConfig::tuned`].
 //!
-//! Every decision path estimates the sampled skyline fraction (the
-//! sample is precomputed and capped, so the estimate is microseconds)
-//! and reports it in the plan — the [feedback loop](feedback) buckets
-//! observed runtimes by that fraction, so even min-scan, tiny-input,
-//! and delta plans must carry the feature.
+//! Every non-trivial plan reports the sampled skyline fraction in
+//! [`QueryPlan::sample_skyline_frac`] (the sample is precomputed and
+//! capped, so the estimate is microseconds), including min-scan,
+//! tiny-input and delta plans that do not branch on it, so a caller of
+//! [`Engine::plan`](crate::Engine::plan) sees the density whatever the
+//! tier.
 //!
-//! ## Live thresholds
+//! ## Fixed thresholds
 //!
-//! The planner's thresholds are not fixed: [`Planner::install`] swaps
-//! in a replacement [`PlannerConfig`] atomically (each planning pass
-//! takes one consistent snapshot up front, so in-flight decisions never
-//! see a half-updated config). The [`feedback`] module re-fits the
-//! config from observed runtimes; its hysteresis band ensures a
-//! threshold only moves when the observed advantage is decisive, so
-//! plan choices do not thrash between near-equal strategies.
-
-pub mod feedback;
-
-use std::sync::{Arc, RwLock};
+//! The thresholds come from one place: the [`PlannerConfig`] the
+//! planner was built with (for an engine,
+//! [`EngineConfig::planner`](crate::EngineConfig::planner)). They do
+//! not change for the planner's lifetime, and a durable engine reopens
+//! with the config its caller passes.
 
 use skyline_core::algo::Algorithm;
 use skyline_core::SkylineConfig;
@@ -104,6 +98,53 @@ impl Strategy {
     }
 }
 
+/// A [`Strategy`] with its parameters stripped: what kind of plan ran,
+/// for traces and reports that group queries by plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PlanKind {
+    /// Served from the result cache.
+    Cached,
+    /// Definitional answer, nothing computed.
+    Trivial,
+    /// Sorted-projection scan.
+    MinScan,
+    /// Delta maintenance over a prior cached result.
+    Delta,
+    /// Per-shard fan-out over an attached sharded store, merged by
+    /// rerunning the operator over the union of the local results.
+    Sharded,
+    /// A full algorithm run.
+    Algo(Algorithm),
+}
+
+impl From<&Strategy> for PlanKind {
+    fn from(s: &Strategy) -> Self {
+        match s {
+            Strategy::Cached => PlanKind::Cached,
+            Strategy::Trivial => PlanKind::Trivial,
+            Strategy::MinScan { .. } => PlanKind::MinScan,
+            Strategy::Delta { .. } => PlanKind::Delta,
+            Strategy::Sharded { .. } => PlanKind::Sharded,
+            Strategy::Algorithm(a) => PlanKind::Algo(*a),
+        }
+    }
+}
+
+impl PlanKind {
+    /// Short stable label: the algorithm's [`Algorithm::name`] for
+    /// algorithm runs.
+    pub fn name(&self) -> &'static str {
+        match self {
+            PlanKind::Cached => "cache",
+            PlanKind::Trivial => "trivial",
+            PlanKind::MinScan => "min-scan",
+            PlanKind::Delta => "delta",
+            PlanKind::Sharded => "sharded",
+            PlanKind::Algo(a) => a.name(),
+        }
+    }
+}
+
 /// The planner's full decision for one query.
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
@@ -146,8 +187,9 @@ pub struct PlanCandidate {
     /// [`Algorithm::name`](skyline_core::algo::Algorithm::name)).
     pub strategy: &'static str,
     /// Coarse estimated cost in dominance-test units. Comparable only
-    /// within one plan's candidate list; informational — the decision
-    /// itself is made by the planner's (feedback-refitted) rules.
+    /// within one plan's candidate list, and informational only: the
+    /// decision itself is made by the planner's threshold rules, which
+    /// never read these numbers.
     pub estimated_cost: f64,
     /// Whether this candidate became the plan.
     pub chosen: bool,
@@ -196,10 +238,12 @@ fn candidate_costs(
 /// Coarse cost of the sharded plan, from the **per-shard** live
 /// counts: each shard pays a hybrid-style window scan over its own
 /// rows (quadratic in the shard, which is where splitting wins), the
-/// scatter pays one pass over `n`, and the merge pays an 8-lane
-/// SIMD-batched all-candidates scan over the concatenated local
-/// skylines (`c² / 16`: half the pairs by sort order, eight lanes per
-/// test).
+/// scatter pays one pass over `n`, and the merge — the local operator
+/// rerun over the union of `c` local skylines — is priced as a
+/// sort-halved, eight-lane window scan (`c² / 16`).
+///
+/// Informational only: the number is shown as the `sharded` row of the
+/// plan's candidate sheet, and no planning decision reads it.
 fn sharded_cost(lens: &[usize], frac: f32, threads: usize) -> f64 {
     let t = threads.max(1) as f64;
     let f = frac as f64;
@@ -253,9 +297,9 @@ pub struct PriorResult {
 
 /// Thresholds steering the planner. The defaults fall out of the
 /// paper's evaluation plus the constant factors of this codebase; they
-/// are exposed so deployments can re-tune from their own traces — or
-/// let the [feedback loop](feedback) re-fit them online from observed
-/// runtimes.
+/// are exposed so deployments can re-tune from their own traces. Block
+/// sizes are not here: every parallel plan takes α from
+/// [`SkylineConfig::tuned`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannerConfig {
     /// At or below this cardinality, BNL wins outright.
@@ -272,13 +316,6 @@ pub struct PlannerConfig {
     /// time (`Strategy::Delta`) and when the engine patches cache
     /// entries forward eagerly after a mutation batch.
     pub delta_cap: usize,
-    /// Fitted Q-Flow block size; `None` defers to
-    /// [`SkylineConfig::tuned`]. Installed by the feedback loop when
-    /// observed runtimes show a different α winning on this machine.
-    pub alpha_qflow: Option<usize>,
-    /// Fitted Hybrid block size; `None` defers to
-    /// [`SkylineConfig::tuned`].
-    pub alpha_hybrid: Option<usize>,
     /// Smallest live cardinality at which an attached sharded store is
     /// used: below it, per-shard fan-out and merge overhead cannot pay
     /// for themselves against a single scan.
@@ -300,8 +337,6 @@ impl Default for PlannerConfig {
             // filtered pass over the data; 256 keeps the worst patch
             // well under any recomputation the tiers below would pick.
             delta_cap: 256,
-            alpha_qflow: None,
-            alpha_hybrid: None,
             // Below ~64k rows a single scan already fits in cache;
             // above it, per-shard working sets shrinking back under
             // the cache is exactly the sharded tier's win.
@@ -325,49 +360,22 @@ pub struct SuperspaceSeed {
     pub len: usize,
 }
 
-/// The adaptive planner: stateless decision logic over an atomically
-/// swappable [`PlannerConfig`]. Safe to share across threads; each
-/// planning pass snapshots the config once, so an [`install`]
-/// (Planner::install) mid-flight never mixes old and new thresholds
-/// within one decision.
-///
-/// [`install`]: Planner::install
-#[derive(Debug, Default)]
+/// The adaptive planner: stateless decision logic over a fixed
+/// [`PlannerConfig`]. Safe to share across threads.
+#[derive(Debug, Clone, Default)]
 pub struct Planner {
-    cfg: RwLock<Arc<PlannerConfig>>,
-}
-
-impl Clone for Planner {
-    fn clone(&self) -> Self {
-        Self {
-            cfg: RwLock::new(self.config()),
-        }
-    }
+    cfg: PlannerConfig,
 }
 
 impl Planner {
     /// A planner with the given thresholds.
     pub fn new(cfg: PlannerConfig) -> Self {
-        Self {
-            cfg: RwLock::new(Arc::new(cfg)),
-        }
+        Self { cfg }
     }
 
-    /// A consistent snapshot of the live thresholds.
-    pub fn config(&self) -> Arc<PlannerConfig> {
-        Arc::clone(&self.cfg.read().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// Atomically replaces the live thresholds. Plans already being
-    /// made keep the snapshot they took. Returns whether the config
-    /// actually changed.
-    pub fn install(&self, cfg: PlannerConfig) -> bool {
-        let mut live = self.cfg.write().unwrap_or_else(|e| e.into_inner());
-        if **live == cfg {
-            return false;
-        }
-        *live = Arc::new(cfg);
-        true
+    /// The planner's thresholds.
+    pub fn config(&self) -> &PlannerConfig {
+        &self.cfg
     }
 
     /// Plans a query over `entry` restricted to the canonical
@@ -458,7 +466,7 @@ impl Planner {
         if kind.is_skyline() {
             return self.plan_query(entry, dims, max_mask, threads, prior, seed);
         }
-        let cfg = self.config();
+        let cfg = &self.cfg;
         let n = entry.live_len();
         if n == 0 {
             return QueryPlan::trivial("empty dataset");
@@ -525,7 +533,7 @@ impl Planner {
         threads: usize,
         prior: Option<PriorResult>,
     ) -> QueryPlan {
-        let cfg = self.config();
+        let cfg = &self.cfg;
         let n = entry.live_len();
         if n == 0 {
             return QueryPlan::trivial("empty dataset");
@@ -543,10 +551,9 @@ impl Planner {
         }
         let d = effective.len();
         let threads = threads.max(1);
-        // The sampled density is both a decision input (Q-Flow vs
-        // Hybrid) and a feedback feature: every non-trivial plan
-        // carries it so the observed runtime lands in the right
-        // bucket. The sample is capped, so this is microseconds.
+        // The sampled density decides Q-Flow vs Hybrid below; every
+        // non-trivial plan reports it. The sample is capped, so this is
+        // microseconds.
         let frac = sample_skyline_frac(entry, &effective);
 
         // 2. One effective dimension: the skyline is the set of minima,
@@ -621,20 +628,13 @@ impl Planner {
             if store.k() > 1 && n >= cfg.sharded_min_n {
                 let lens: Vec<usize> = store.stats().iter().map(|s| s.live).collect();
                 let cost = sharded_cost(&lens, frac, threads);
-                let mut config = SkylineConfig::tuned(n / store.k(), 1);
-                if let Some(a) = cfg.alpha_qflow {
-                    config.alpha_qflow = a;
-                }
-                if let Some(a) = cfg.alpha_hybrid {
-                    config.alpha_hybrid = a;
-                }
                 return QueryPlan {
                     strategy: Strategy::Sharded {
                         k: store.k(),
                         partitioner: store.partitioner_kind(),
                     },
                     threads,
-                    config,
+                    config: SkylineConfig::tuned(n / store.k(), 1),
                     effective_dims: effective,
                     sample_skyline_frac: Some(frac),
                     reason: "sharded store attached: cache-resident per-shard scans, operator rerun over their union",
@@ -659,15 +659,8 @@ impl Planner {
         }
 
         // 7. Parallel: split on the sampled skyline density, with α
-        //    from the workload-tuned formula unless the feedback loop
-        //    installed a fitted override.
-        let mut config = SkylineConfig::tuned(n, threads);
-        if let Some(a) = cfg.alpha_qflow {
-            config.alpha_qflow = a;
-        }
-        if let Some(a) = cfg.alpha_hybrid {
-            config.alpha_hybrid = a;
-        }
+        //    from the workload-tuned formula.
+        let config = SkylineConfig::tuned(n, threads);
         let (algo, reason) = if d >= cfg.high_d {
             (
                 Algorithm::Hybrid,
@@ -746,10 +739,7 @@ mod tests {
         let tiny = entry_of(generate(Distribution::Independent, 300, 3, 7, &pool));
         let plan = planner.plan(&tiny, &[0, 1, 2], 0, 4);
         assert_eq!(plan.strategy, Strategy::Algorithm(Algorithm::Bnl));
-        assert!(
-            plan.sample_skyline_frac.is_some(),
-            "frac must be bucketable"
-        );
+        assert!(plan.sample_skyline_frac.is_some(), "frac must be reported");
 
         let small = entry_of(generate(Distribution::Independent, 5_000, 3, 7, &pool));
         let plan = planner.plan(&small, &[0, 1, 2], 0, 4);
@@ -830,7 +820,10 @@ mod tests {
         assert_eq!(plan.strategy, Strategy::Delta { from_version: 3 });
         assert_eq!(plan.effective_dims, vec![0, 1, 2, 3]);
         assert_eq!(plan.threads, 1);
-        assert!(plan.sample_skyline_frac.is_some(), "delta plans bucket too");
+        assert!(
+            plan.sample_skyline_frac.is_some(),
+            "delta plans report it too"
+        );
     }
 
     #[test]
@@ -902,47 +895,6 @@ mod tests {
             verify::naive_skyline_on(&sample_ds, &dims).len() as f32 / sample_rows.len() as f32;
         let got = sample_skyline_frac(&e, &dims);
         assert!((got - expect).abs() < 1e-6);
-    }
-
-    #[test]
-    fn install_swaps_thresholds_atomically() {
-        let planner = Planner::default();
-        let pool = ThreadPool::new(2);
-        let e = entry_of(generate(Distribution::Independent, 5_000, 3, 7, &pool));
-        assert_eq!(
-            planner.plan(&e, &[0, 1, 2], 0, 4).strategy,
-            Strategy::Algorithm(Algorithm::Sfs)
-        );
-        // Raise the BNL ceiling above n: the same query replans to BNL.
-        let mut cfg = (*planner.config()).clone();
-        cfg.tiny_n = 10_000;
-        assert!(planner.install(cfg.clone()));
-        assert!(!planner.install(cfg), "identical config is a no-op");
-        assert_eq!(
-            planner.plan(&e, &[0, 1, 2], 0, 4).strategy,
-            Strategy::Algorithm(Algorithm::Bnl)
-        );
-        // A clone snapshots the live config at clone time.
-        let snap = planner.clone();
-        assert_eq!(snap.config().tiny_n, 10_000);
-    }
-
-    #[test]
-    fn alpha_overrides_replace_tuned_values() {
-        let planner = Planner::default();
-        let pool = ThreadPool::new(2);
-        let anti = entry_of(generate(Distribution::Anticorrelated, 20_000, 6, 7, &pool));
-        let corr = entry_of(generate(Distribution::Correlated, 20_000, 4, 7, &pool));
-        let mut cfg = (*planner.config()).clone();
-        cfg.alpha_hybrid = Some(128);
-        cfg.alpha_qflow = Some(4_096);
-        planner.install(cfg);
-        let plan = planner.plan(&anti, &[0, 1, 2, 3, 4, 5], 0, 4);
-        assert_eq!(plan.strategy, Strategy::Algorithm(Algorithm::Hybrid));
-        assert_eq!(plan.config.alpha_hybrid, 128);
-        let plan = planner.plan(&corr, &[0, 1, 2, 3], 0, 4);
-        assert_eq!(plan.strategy, Strategy::Algorithm(Algorithm::QFlow));
-        assert_eq!(plan.config.alpha_qflow, 4_096);
     }
 
     #[test]

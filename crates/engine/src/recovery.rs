@@ -48,7 +48,6 @@ use skyline_data::{AlignedF32, Dataset, PartitionerKind};
 use crate::catalog::DatasetEntry;
 use crate::engine::Engine;
 use crate::error::EngineError;
-use crate::planner::PlannerConfig;
 
 /// Knobs for a durable engine's maintenance behaviour.
 #[derive(Debug, Clone)]
@@ -80,13 +79,9 @@ pub struct RecoveryReport {
     /// Datasets quarantined by corruption, as `(name, reason)` pairs,
     /// sorted by name.
     pub quarantined: Vec<(String, String)>,
-    /// Whether a persisted planner-fit record was found and installed
-    /// (warm thresholds from the previous process's feedback loop).
-    pub feedback_restored: bool,
 }
 
 const REC_MUTATION: u8 = 1;
-const REC_PLANNER_FIT: u8 = 2;
 
 /// A decoded WAL mutation record.
 struct MutationRecord {
@@ -153,48 +148,6 @@ fn decode_mutation(payload: &[u8]) -> Option<MutationRecord> {
         inserts,
         deletes,
     })
-}
-
-/// `Option<usize>` α thresholds ride as `value + 1` with 0 = `None`.
-fn encode_planner_fit(cfg: &PlannerConfig) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(61);
-    codec::put_u8(&mut buf, REC_PLANNER_FIT);
-    codec::put_u64(&mut buf, cfg.tiny_n as u64);
-    codec::put_u64(&mut buf, cfg.small_n as u64);
-    codec::put_u64(&mut buf, cfg.high_d as u64);
-    codec::put_f32(&mut buf, cfg.dense_frac);
-    codec::put_u64(&mut buf, cfg.delta_cap as u64);
-    codec::put_u64(&mut buf, cfg.alpha_qflow.map(|a| a as u64 + 1).unwrap_or(0));
-    codec::put_u64(
-        &mut buf,
-        cfg.alpha_hybrid.map(|a| a as u64 + 1).unwrap_or(0),
-    );
-    codec::put_u64(&mut buf, cfg.sharded_min_n as u64);
-    buf
-}
-
-fn decode_planner_fit(payload: &[u8]) -> Option<PlannerConfig> {
-    let mut r = ByteReader::new(payload);
-    if r.u8()? != REC_PLANNER_FIT {
-        return None;
-    }
-    let cfg = PlannerConfig {
-        tiny_n: r.u64()? as usize,
-        small_n: r.u64()? as usize,
-        high_d: r.u64()? as usize,
-        dense_frac: r.f32()?,
-        delta_cap: r.u64()? as usize,
-        alpha_qflow: match r.u64()? {
-            0 => None,
-            a => Some((a - 1) as usize),
-        },
-        alpha_hybrid: match r.u64()? {
-            0 => None,
-            a => Some((a - 1) as usize),
-        },
-        sharded_min_n: r.u64()? as usize,
-    };
-    (r.remaining() == 0 && cfg.dense_frac.is_finite()).then_some(cfg)
 }
 
 fn encode_partitioner(kind: PartitionerKind) -> u8 {
@@ -269,10 +222,6 @@ impl Durability {
 
     fn wal_path(&self, name: &str) -> PathBuf {
         self.dataset_dir(name).join("wal.log")
-    }
-
-    fn feedback_path(&self) -> PathBuf {
-        self.root.join("feedback.wal")
     }
 
     fn lock_state(&self) -> std::sync::MutexGuard<'_, HashMap<String, DatasetDurable>> {
@@ -427,14 +376,6 @@ impl Durability {
         slot.wal_bytes = 0;
         Ok(())
     }
-
-    /// Best-effort append of the planner's current thresholds to the
-    /// engine-global feedback log. Advisory data: failures are
-    /// swallowed (the next fit retries), and a corrupt log merely
-    /// starts the next process with default thresholds.
-    pub(crate) fn log_planner_fit(&self, cfg: &PlannerConfig) {
-        let _ = append_record(&*self.io, &self.feedback_path(), &encode_planner_fit(cfg));
-    }
 }
 
 /// Recovers durable state from `dir` into `engine`, then attaches the
@@ -472,7 +413,6 @@ pub(crate) fn open(
         recover_dataset(&engine, &durability, &name, &mut report);
     }
 
-    recover_feedback(&engine, &durability, &mut report);
     report.quarantined.sort();
 
     if let Some(reg) = engine.metrics_registry() {
@@ -617,32 +557,6 @@ fn recover_dataset(engine: &Engine, dur: &Durability, name: &str, report: &mut R
     report.datasets += 1;
 }
 
-/// Installs the newest intact planner-fit record, warming the
-/// planner's thresholds with the previous process's feedback fits.
-/// The log is advisory: torn or corrupt suffixes are dropped and the
-/// engine otherwise starts from the configured thresholds.
-fn recover_feedback(engine: &Engine, dur: &Durability, report: &mut RecoveryReport) {
-    let path = dur.feedback_path();
-    let Ok(scan) = scan_wal(&*dur.io, &path) else {
-        return;
-    };
-    let last = scan
-        .records
-        .iter()
-        .rev()
-        .find_map(|p| decode_planner_fit(p));
-    if let Some(cfg) = last {
-        engine.shared().planner.install(cfg);
-        report.feedback_restored = true;
-    }
-    if scan.torn_tail || scan.corrupt {
-        let _ = dur.io.truncate(&path, scan.valid_len);
-        if scan.torn_tail {
-            report.torn_tail_truncations += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -663,24 +577,6 @@ mod tests {
         let mut padded = payload.clone();
         padded.push(0);
         assert!(decode_mutation(&padded).is_none());
-    }
-
-    #[test]
-    fn planner_fit_record_roundtrips_including_none_alphas() {
-        for (aq, ah) in [(None, None), (Some(64), None), (Some(1), Some(4096))] {
-            let cfg = PlannerConfig {
-                tiny_n: 100,
-                small_n: 2_000,
-                high_d: 9,
-                dense_frac: 0.31,
-                delta_cap: 77,
-                alpha_qflow: aq,
-                alpha_hybrid: ah,
-                sharded_min_n: 123_456,
-            };
-            let got = decode_planner_fit(&encode_planner_fit(&cfg)).unwrap();
-            assert_eq!(got, cfg);
-        }
     }
 
     #[test]

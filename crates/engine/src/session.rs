@@ -649,9 +649,8 @@ impl SessionRuntime {
         }
 
         // Counted cache probe: hits short-circuit admission — no queue
-        // slot, no quota consumption — but still feed the feedback loop
-        // (inside `probe`) so the report sees the whole workload.
-        if let Some(hit) = shared.probe(&prepared, Instant::now(), shared.clock_now()) {
+        // slot, no quota consumption.
+        if let Some(hit) = shared.probe(&prepared, Instant::now()) {
             self.short_circuits.fetch_add(1, Ordering::Relaxed);
             let submitted_at = shared.clock.now();
             shared.queue_waits.record(priority, Duration::ZERO);

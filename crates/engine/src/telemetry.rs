@@ -6,7 +6,7 @@
 //! * **Operators** read the [`MetricsRegistry`] — counters, gauges and
 //!   log-bucketed latency [`Histogram`]s behind stable names
 //!   (`engine.query.latency`, `session.queue_wait{class=…}`,
-//!   `dominance.tests{algo=…}`, `cache.*`, `feedback.*`) — via
+//!   `dominance.tests{algo=…}`, `cache.*`) — via
 //!   [`Engine::metrics`](crate::Engine::metrics), whose
 //!   [`MetricsSnapshot::render`] emits a Prometheus-style text
 //!   exposition.
@@ -418,8 +418,8 @@ impl MetricsRegistry {
     }
 
     /// Registers a pre-built histogram handle under `name` + `labels`
-    /// (used to expose histograms that must exist even when no registry
-    /// does, like the queue-wait family shared with the feedback loop).
+    /// (used to expose histograms the engine records into whether or
+    /// not a registry exists, like the queue-wait family).
     pub(crate) fn adopt_histogram(
         &self,
         name: &str,
@@ -476,7 +476,7 @@ pub struct MetricSample {
 }
 
 /// A point-in-time view of the whole registry, plus any derived
-/// samples the engine appends (cache and feedback families).
+/// samples the engine appends (the cache family).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Every sample, sorted by name then labels.
@@ -985,18 +985,16 @@ impl SlowQueryLog {
 }
 
 // ---------------------------------------------------------------------------
-// Queue-wait histograms (shared with the feedback loop)
+// Queue-wait histograms
 // ---------------------------------------------------------------------------
 
 /// The per-class `session.queue_wait` histogram family.
 ///
-/// This is the **single source of truth** for queue-wait time: the
-/// session layer records into it on every successful completion, the
-/// metrics registry exposes it, and the feedback loop derives its
-/// [`FeedbackStats`](crate::planner::feedback::FeedbackStats) wait
-/// aggregates from it instead of keeping a parallel tally. It exists
-/// even when telemetry is disabled (the feedback loop needs it), which
-/// is cheap: three histograms, written lock-free.
+/// The session layer records into it on every successful completion
+/// (cache hits answered at submission wait zero), and the metrics
+/// registry adopts the three histograms when telemetry is enabled.
+/// Recording is three lock-free histograms, so the engine keeps it
+/// unconditionally rather than branching on telemetry.
 #[derive(Debug)]
 pub struct QueueWaitHistograms {
     per_class: [Arc<Histogram>; 3],
@@ -1019,21 +1017,6 @@ impl QueueWaitHistograms {
     /// The histogram for `class`.
     pub fn class(&self, class: Priority) -> &Arc<Histogram> {
         &self.per_class[class.index()]
-    }
-
-    /// Across all classes: how many completions waited a nonzero time,
-    /// and their summed wait — the pair
-    /// [`FeedbackStats`](crate::planner::feedback::FeedbackStats)
-    /// reports as `queued_observations` / `queue_wait`.
-    pub fn queued_total(&self) -> (u64, Duration) {
-        let mut queued = 0u64;
-        let mut sum = Duration::ZERO;
-        for h in &self.per_class {
-            let s = h.snapshot();
-            queued += s.count - s.zeros;
-            sum += s.sum;
-        }
-        (queued, sum)
     }
 }
 
@@ -1318,9 +1301,11 @@ mod tests {
         w.record(Priority::High, Duration::ZERO);
         w.record(Priority::High, Duration::from_millis(2));
         w.record(Priority::Low, Duration::from_millis(3));
-        let (queued, sum) = w.queued_total();
-        assert_eq!(queued, 2);
-        assert_eq!(sum, Duration::from_millis(5));
-        assert_eq!(w.class(Priority::High).snapshot().count, 2);
+        let high = w.class(Priority::High).snapshot();
+        let low = w.class(Priority::Low).snapshot();
+        assert_eq!((high.count, high.zeros), (2, 1));
+        assert_eq!(high.count - high.zeros + low.count - low.zeros, 2);
+        assert_eq!(high.sum + low.sum, Duration::from_millis(5));
+        assert_eq!(w.class(Priority::Normal).snapshot().count, 0);
     }
 }

@@ -117,13 +117,12 @@ pub use skyline_data::{
 };
 pub use skyline_engine::{
     AdmissionConfig, CacheStats, Clock, Counter, DatasetEntry, DurabilityOptions, Engine,
-    EngineConfig, EngineError, FeedbackConfig, FeedbackLoop, FeedbackStats, Gauge, Histogram,
-    HistogramSnapshot, ManualClock, MergeStats, MetricSample, MetricValue, MetricsRegistry,
-    MetricsSnapshot, MonotonicClock, MutationReport, Observation, PartitionerKind, PlanCandidate,
-    PlanKind, PlannerConfig, Priority, QueryKind, QueryOptions, QueryPlan, QueryResult,
-    QueryTicket, QueryTrace, QuotaKind, RecoveryReport, RejectReason, Session, SessionOptions,
-    SessionStats, SkylineQuery, SlowQueryLog, SpanKind, Strategy, SuperspaceSeed, TelemetryConfig,
-    TraceSpan,
+    EngineConfig, EngineError, Gauge, Histogram, HistogramSnapshot, ManualClock, MergeStats,
+    MetricSample, MetricValue, MetricsRegistry, MetricsSnapshot, MonotonicClock, MutationReport,
+    PartitionerKind, PlanCandidate, PlannerConfig, Priority, QueryKind, QueryOptions, QueryPlan,
+    QueryResult, QueryTicket, QueryTrace, QuotaKind, RecoveryReport, RejectReason, Session,
+    SessionOptions, SessionStats, SkylineQuery, SlowQueryLog, SpanKind, Strategy, SuperspaceSeed,
+    TelemetryConfig, TraceSpan,
 };
 pub use skyline_parallel::{available_threads, ThreadPool};
 pub use skyline_serve::{

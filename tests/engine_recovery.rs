@@ -1,8 +1,9 @@
 //! Deterministic integration tests for the durability subsystem:
 //! WAL + snapshot roundtrips, idempotent double replay, torn-tail
-//! truncation, checkpointing, planner-fit persistence, corruption
-//! quarantine with re-registration lifting it, and panic containment
-//! on the mutation path.
+//! truncation, checkpointing, a leftover planner-fit log that must
+//! not override the configured planner, corruption quarantine with
+//! re-registration lifting it, and panic containment on the mutation
+//! path.
 //!
 //! Every test runs on [`MemIo`] — a shared in-memory filesystem —
 //! so "crash and restart" is just dropping one engine and opening
@@ -14,11 +15,9 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use skybench::persist::{FaultInjector, FaultPlan, MemIo, WalIo};
+use skybench::persist::{self, FaultInjector, FaultPlan, MemIo, WalIo};
 use skybench::prelude::*;
-use skybench::{
-    verify, DurabilityOptions, EngineError, FeedbackConfig, MetricValue, Observation, PlanKind,
-};
+use skybench::{verify, DurabilityOptions, EngineError, MetricValue, PlannerConfig};
 
 const DIR: &str = "/durable";
 
@@ -220,50 +219,73 @@ fn tiny_checkpoint_threshold_auto_checkpoints_every_batch() {
     assert_eq!(engine.dataset("a").unwrap().live_ids().len(), 6);
 }
 
+/// Earlier builds persisted online planner refits as tag-2 records in
+/// a root-level `feedback.wal` and installed the newest one over the
+/// caller's thresholds on every reopen. A leftover log must be
+/// ignored: the reopened planner runs exactly the configured
+/// thresholds, and the datasets beside the log still recover.
 #[test]
-fn planner_fit_survives_restart() {
+fn leftover_planner_fit_log_does_not_override_configured_thresholds() {
+    use skybench::persist::wal::codec::{put_f32, put_u64, put_u8};
+
     let mem = MemIo::new();
-    let feedback_cfg = || EngineConfig {
-        feedback: FeedbackConfig {
-            enabled: true,
-            min_observations: 8,
-            ..FeedbackConfig::default()
-        },
-        ..cfg()
-    };
-    let fitted;
+    let base = rows(12, 3, 50);
+    let batch = rows(2, 3, 51);
+    let mut model: Vec<(u32, Vec<f32>)> = base
+        .iter()
+        .enumerate()
+        .map(|(i, r)| (i as u32, r.clone()))
+        .collect();
     {
-        let (engine, _) =
-            Engine::open_durable_with_io(DIR, feedback_cfg(), Arc::new(mem.clone())).unwrap();
-        let fb = engine.feedback().expect("feedback is enabled");
-        // Skewed synthetic truth: Hybrid 3× faster than Q-Flow at this
-        // shape. One forced refit must move (and persist) the fit.
-        for _ in 0..8 {
-            for (algo, us) in [(Algorithm::QFlow, 900), (Algorithm::Hybrid, 300)] {
-                fb.record(Observation {
-                    kind: PlanKind::Algo(algo),
-                    n: 20_000,
-                    d: 4,
-                    max_mask: 0,
-                    sample_skyline_frac: Some(0.02),
-                    alpha: Some(1_024),
-                    runtime: std::time::Duration::from_micros(us),
-                    queue_wait: std::time::Duration::ZERO,
-                });
-            }
-        }
-        assert!(engine.refit_feedback(), "the skewed fit must install");
-        fitted = engine.planner_config();
+        let (engine, _) = open(&mem);
+        engine.register("a", Dataset::from_rows(&base).unwrap());
+        engine.update_batch("a", &batch, &[3]).unwrap();
         engine.shutdown();
     }
-    let (engine, report) =
-        Engine::open_durable_with_io(DIR, feedback_cfg(), Arc::new(mem.clone())).unwrap();
-    assert!(report.feedback_restored);
+    model.retain(|(id, _)| *id != 3);
+    model.push((12, batch[0].clone()));
+    model.push((13, batch[1].clone()));
+
+    // The old fit layout: tag, tiny_n, small_n, high_d, dense_frac,
+    // delta_cap, α(Q-Flow) and α(Hybrid) as value + 1 (0 = none),
+    // sharded_min_n.
+    let mut fit = Vec::new();
+    put_u8(&mut fit, 2);
+    for v in [64u64, 8_192, 3] {
+        put_u64(&mut fit, v);
+    }
+    put_f32(&mut fit, 0.01);
+    for v in [8u64, 256 + 1, 0, 1_000] {
+        put_u64(&mut fit, v);
+    }
+    persist::append_record(&mem, &Path::new(DIR).join("feedback.wal"), &fit).unwrap();
+
+    let configured = PlannerConfig {
+        tiny_n: 100,
+        small_n: 4_000,
+        high_d: 6,
+        dense_frac: 0.5,
+        delta_cap: 32,
+        ..PlannerConfig::default()
+    };
+    let (engine, report) = Engine::open_durable_with_io(
+        DIR,
+        EngineConfig {
+            planner: configured.clone(),
+            ..cfg()
+        },
+        Arc::new(mem.clone()),
+    )
+    .unwrap();
     assert_eq!(
         *engine.planner_config(),
-        *fitted,
-        "the restarted planner starts from the persisted thresholds"
+        configured,
+        "the reopened planner must run the configured thresholds"
     );
+    assert_eq!(report.datasets, 1);
+    assert_eq!(report.records_replayed, 1);
+    assert!(report.quarantined.is_empty());
+    assert_state(&engine, "a", &model);
 }
 
 #[test]

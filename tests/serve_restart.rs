@@ -2,9 +2,8 @@
 //! engine serves real sockets under concurrent load (clients using
 //! the retrying `post_json_with_retry` path), mutates while serving,
 //! drains, and is reopened from its durable directory — after which
-//! the recovered dataset must answer exactly like the naive oracle
-//! and the planner must wake up with the previous process's fitted
-//! thresholds already installed.
+//! every acknowledged mutation must be live and the recovered dataset
+//! must answer exactly like the naive oracle.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -13,8 +12,8 @@ use std::time::Duration;
 
 use skybench::prelude::*;
 use skybench::{
-    generate, parse_json, verify, Client, Distribution, FeedbackConfig, Json, Observation,
-    PlanKind, RetryPolicy, ServeConfig, SkylineServer,
+    generate, parse_json, verify, Client, Distribution, Json, RetryPolicy, ServeConfig,
+    SkylineServer,
 };
 
 fn scratch_dir() -> PathBuf {
@@ -28,11 +27,6 @@ fn scratch_dir() -> PathBuf {
 fn durable_cfg() -> EngineConfig {
     EngineConfig {
         threads: 2,
-        feedback: FeedbackConfig {
-            enabled: true,
-            min_observations: 8,
-            ..FeedbackConfig::default()
-        },
         ..EngineConfig::default()
     }
 }
@@ -49,13 +43,11 @@ fn indices_of(body: &str) -> Vec<u32> {
 }
 
 #[test]
-fn restart_preserves_results_and_warm_planner_thresholds() {
+fn restart_preserves_results() {
     let dir = scratch_dir();
     let pool = ThreadPool::new(2);
 
-    // ---- First life: fit the planner, serve under load, mutate,
-    // drain. ----
-    let fitted;
+    // ---- First life: serve under load, mutate, drain. ----
     let live_before;
     {
         let (engine, _) = Engine::open_durable(&dir, durable_cfg()).expect("open durable");
@@ -64,26 +56,6 @@ fn restart_preserves_results_and_warm_planner_thresholds() {
             "data",
             generate(Distribution::Anticorrelated, 900, 4, 7, &pool),
         );
-
-        // Skewed synthetic observations make one forced refit move the
-        // thresholds — the fit the next process must wake up with.
-        let fb = engine.feedback().expect("feedback is enabled");
-        for _ in 0..8 {
-            for (algo, us) in [(Algorithm::QFlow, 900), (Algorithm::Hybrid, 300)] {
-                fb.record(Observation {
-                    kind: PlanKind::Algo(algo),
-                    n: 20_000,
-                    d: 4,
-                    max_mask: 0,
-                    sample_skyline_frac: Some(0.02),
-                    alpha: Some(1_024),
-                    runtime: Duration::from_micros(us),
-                    queue_wait: Duration::ZERO,
-                });
-            }
-        }
-        assert!(engine.refit_feedback(), "the skewed fit must install");
-        fitted = engine.planner_config();
 
         let server = Arc::new(
             SkylineServer::start(Arc::clone(&engine), ServeConfig::default()).expect("bind"),
@@ -150,15 +122,6 @@ fn restart_preserves_results_and_warm_planner_thresholds() {
     let engine = Arc::new(engine);
     assert_eq!(report.datasets, 1);
     assert!(report.quarantined.is_empty());
-    assert!(
-        report.feedback_restored,
-        "the persisted planner fit must be found"
-    );
-    assert_eq!(
-        *engine.planner_config(),
-        *fitted,
-        "the planner must wake up with the pre-restart thresholds"
-    );
 
     // Every acknowledged mutation survived the restart.
     let entry = engine.dataset("data").expect("recovered dataset");
